@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from repro.bench.reporting import format_table
-from repro.core.variants import SBPConfig
+from repro.core.variants import SHARD_LOSS_POLICIES, SBPConfig
+from repro.distributed.comm import TRANSPORTS
 from repro.generators.corpus import SYNTHETIC_SPECS, generate_synthetic
 from repro.generators.dcsbm import DCSBMParams, generate_dcsbm
 from repro.generators.realworld import REAL_WORLD_SPECS, generate_real_world_standin
@@ -42,22 +43,17 @@ from repro.graph.io import (
     write_matrix_market,
 )
 from repro.graph.properties import summarize
-from repro.mcmc.engine import available_variants, build_plan, get_variant_spec
+from repro.mcmc.engine import VARIANTS, build_plan
 from repro.metrics.modularity import directed_modularity
 from repro.metrics.nmi import normalized_mutual_information
-from repro.sampling.samplers import available_samplers, get_sampler
-from repro.sbm.block_storage import available_block_storages, get_block_storage
-from repro.service import (
-    JobSpec,
-    available_job_queues,
-    available_result_stores,
-    execute_job,
-    get_job_queue,
-    get_result_store,
-)
-from repro.service.store import DiskResultStore
-from repro.streaming.drift import available_drift_policies, get_drift_policy
-from repro.streaming.source import available_stream_sources, get_stream_source
+from repro.parallel.backend import BACKENDS, MERGE_BACKENDS, UPDATE_STRATEGIES
+from repro.sampling.samplers import SAMPLERS
+from repro.sbm.block_storage import AUTO_STORAGE, BLOCK_STORAGES
+from repro.service import JobSpec, execute_job
+from repro.service.queue import JOB_QUEUES
+from repro.service.store import RESULT_STORES, DiskResultStore
+from repro.streaming.drift import DRIFT_POLICIES
+from repro.streaming.source import STREAM_SOURCES
 
 __all__ = ["main", "build_parser"]
 
@@ -88,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", help="detect communities in a graph file")
     detect.add_argument("graph", help="edge-list (.txt) or MatrixMarket (.mtx) file")
     detect.add_argument("--variant", default="h-sbp",
-                        choices=available_variants())
+                        choices=VARIANTS.names())
     detect.add_argument("--runs", type=int, default=1,
                         help="best-of-N repetitions (paper uses 5)")
     detect.add_argument("--seed", type=int, default=0)
@@ -107,20 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
                              "over a fault-tolerant wire (transports: sim, "
                              "inproc, pipes)")
     detect.add_argument("--shard-loss-policy", default="recover",
-                        choices=["recover", "degrade", "fail"],
+                        choices=SHARD_LOSS_POLICIES,
                         help="distributed backend's response to a dead shard: "
                              "re-lease its vertices to survivors "
                              "(bit-identical), finish degraded with the "
                              "survivors (interrupted=true), or raise")
     detect.add_argument("--merge-backend", default="vectorized",
-                        choices=["serial", "vectorized"],
+                        choices=MERGE_BACKENDS.names(),
                         help="block-merge scan kernel (bit-identical results)")
     detect.add_argument("--update-strategy", default="incremental",
-                        choices=["rebuild", "incremental"],
+                        choices=UPDATE_STRATEGIES.names(),
                         help="sweep-barrier engine: O(E) full recount or "
                              "O(deg(moved)) delta-apply (bit-identical results)")
     detect.add_argument("--block-storage", default="auto",
-                        choices=[*available_block_storages(), "auto"],
+                        choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE],
                         help="inter-block matrix engine: dense C x C arrays, "
                              "per-row sparse arrays, or the hybrid cached "
                              "engine (bit-identical results; memory/time "
@@ -134,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "fine-tune (1.0 = full-graph fit, the sampling "
                              "front-end fully bypassed)")
     detect.add_argument("--sampler", default="degree-weighted",
-                        choices=available_samplers(),
+                        choices=SAMPLERS.names(),
                         help="vertex sampler for --sample-rate < 1.0")
     detect.add_argument("--extension-batches", type=int, default=8,
                         metavar="N",
@@ -198,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit an edge stream: warm refit per snapshot, cold fit on drift",
     )
     stream.add_argument("--source", default="synthetic-churn",
-                        choices=available_stream_sources(),
+                        choices=STREAM_SOURCES.names(),
                         help="stream source: a churning planted DCSBM or a "
                              "directory of edge-list snapshot files")
     stream.add_argument("--input", metavar="DIR",
@@ -218,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--ratio", type=float, default=5.0,
                         help="synthetic-churn: within:between rate ratio")
     stream.add_argument("--variant", default="h-sbp",
-                        choices=available_variants())
+                        choices=VARIANTS.names())
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument("--block-storage", default="auto",
-                        choices=[*available_block_storages(), "auto"])
+                        choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE])
     stream.add_argument("--drift-policy", default="mdl-ratio",
-                        choices=available_drift_policies(),
+                        choices=DRIFT_POLICIES.names(),
                         help="warm-vs-cold rule per snapshot (see "
                              "'repro registry --list')")
     stream.add_argument("--drift-threshold", type=float, default=0.05,
@@ -254,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="orchestrator worker threads")
     serve.add_argument("--store", default="disk",
-                       choices=available_result_stores(),
+                       choices=RESULT_STORES.names(),
                        help="result store engine (see 'repro registry --list')")
     serve.add_argument("--store-dir", default=".repro-store", metavar="DIR",
                        help="disk store root (ignored by --store memory)")
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store size budget; least-recently-used results "
                             "are evicted past it (default: unbounded)")
     serve.add_argument("--queue", default="fifo",
-                       choices=available_job_queues(),
+                       choices=JOB_QUEUES.names(),
                        help="job queue pick order")
     serve.add_argument("--lease-ttl", type=float, default=30.0,
                        metavar="SECONDS",
@@ -448,7 +444,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.streaming import StreamSession
 
-    spec = get_stream_source(args.source)
+    spec = STREAM_SOURCES.get(args.source)
     if args.source == "edgelist-dir":
         if not args.input:
             print("error: --source edgelist-dir requires --input DIR",
@@ -533,12 +529,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.store_budget_mb is not None
         else None
     )
-    store_factory = get_result_store(args.store)
+    store_factory = RESULT_STORES.get(args.store)
     if args.store == "memory":
         store = store_factory(size_budget_bytes=budget)
     else:
         store = store_factory(args.store_dir, size_budget_bytes=budget)
-    queue = get_job_queue(args.queue)(
+    queue = JOB_QUEUES.get(args.queue)(
         lease_ttl=args.lease_ttl, max_attempts=args.max_attempts
     )
     service = PartitionService(
@@ -563,8 +559,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _print_variants(args: argparse.Namespace) -> None:
-    for name in available_variants():
-        spec = get_variant_spec(name)
+    for name, spec in VARIANTS.items():
         config = SBPConfig(
             variant=name,
             vstar_fraction=args.vstar_fraction,
@@ -588,98 +583,48 @@ def _cmd_variants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _first_doc_line(obj: object) -> str:
-    """First non-empty docstring line — each registry's entry description."""
-    for line in (getattr(obj, "__doc__", None) or "").splitlines():
+#: Every registry after the variants section, in ``registry --list`` order.
+_ENGINE_SECTIONS = [
+    ("execution backends (--backend; 'resilient:<inner>' composes)", BACKENDS),
+    ("merge backends (--merge-backend)", MERGE_BACKENDS),
+    ("update strategies (--update-strategy)", UPDATE_STRATEGIES),
+    ("samplers (--sampler, with --sample-rate < 1.0)", SAMPLERS),
+    ("block storages (--block-storage)", BLOCK_STORAGES),
+    ("transports (--backend distributed:<transport>:<ranks>)", TRANSPORTS),
+    ("drift policies (stream --drift-policy)", DRIFT_POLICIES),
+    ("stream sources (stream --source)", STREAM_SOURCES),
+    ("result stores (serve --store, detect/compare --store)", RESULT_STORES),
+    ("job queues (serve --queue)", JOB_QUEUES),
+]
+
+
+def _describe(entry: object) -> str:
+    """An entry's ``summary``, else the first non-empty docstring line."""
+    summary = getattr(entry, "summary", None)
+    if isinstance(summary, str):
+        return summary
+    for line in (entry.__doc__ or "").splitlines():
         if line.strip():
             return line.strip()
     return ""
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
-    from repro.distributed.comm import transport_registry
-    from repro.parallel.backend import (
-        backend_registry,
-        merge_backend_registry,
-        update_strategy_registry,
-    )
-
-    # Every pluggable-engine registry, walked the same way: a section
-    # title plus name -> one-line description. Variants additionally
-    # render their sweep plans (the old ``variants`` command, folded in).
-    sections: list[tuple[str, dict[str, str]]] = [
-        (
-            "execution backends (--backend; 'resilient:<inner>' composes)",
-            {n: _first_doc_line(f) for n, f in sorted(backend_registry().items())},
-        ),
-        (
-            "merge backends (--merge-backend)",
-            {n: _first_doc_line(f) for n, f in sorted(merge_backend_registry().items())},
-        ),
-        (
-            "update strategies (--update-strategy)",
-            {n: _first_doc_line(f) for n, f in sorted(update_strategy_registry().items())},
-        ),
-        (
-            "samplers (--sampler, with --sample-rate < 1.0)",
-            {
-                n: get_sampler(n).summary for n in available_samplers()
-            },
-        ),
-        (
-            "block storages (--block-storage)",
-            {
-                **{
-                    n: _first_doc_line(get_block_storage(n))
-                    for n in available_block_storages()
-                },
-                "auto": "Policy, not an engine: picks dense/hybrid from "
-                        "(C, density, memory budget) at run start.",
-            },
-        ),
-        (
-            "transports (--backend distributed:<transport>:<ranks>)",
-            {
-                n: _first_doc_line(f)
-                for n, f in sorted(transport_registry().items())
-            },
-        ),
-        (
-            "drift policies (stream --drift-policy)",
-            {
-                n: get_drift_policy(n).summary
-                for n in available_drift_policies()
-            },
-        ),
-        (
-            "stream sources (stream --source)",
-            {
-                n: get_stream_source(n).summary
-                for n in available_stream_sources()
-            },
-        ),
-        (
-            "result stores (serve --store, detect/compare --store)",
-            {
-                n: _first_doc_line(get_result_store(n))
-                for n in available_result_stores()
-            },
-        ),
-        (
-            "job queues (serve --queue)",
-            {
-                n: _first_doc_line(get_job_queue(n))
-                for n in available_job_queues()
-            },
-        ),
-    ]
-    print(f"variants (--variant): {len(available_variants())} registered")
+    # Variants additionally render their sweep plans (the old
+    # ``variants`` command, folded in).
+    print(f"variants (--variant): {len(VARIANTS.names())} registered")
     _print_variants(args)
-    for title, entries in sections:
+    for title, registry in _ENGINE_SECTIONS:
+        entries = {name: _describe(entry) for name, entry in registry.items()}
+        if registry is BLOCK_STORAGES:
+            entries[AUTO_STORAGE] = (
+                "Policy, not an engine: picks dense/hybrid from "
+                "(C, density, memory budget) at run start."
+            )
         print(f"\n{title}: {len(entries)} registered")
-        width = max((len(n) for n in entries), default=0)
+        width = max([8, *map(len, entries)])
         for name, desc in entries.items():
-            print(f"{name:{max(width, 8)}s} {desc}")
+            print(f"{name:{width}s} {desc}")
     return 0
 
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["Variant", "SBPConfig"]
+__all__ = ["Variant", "SBPConfig", "SHARD_LOSS_POLICIES"]
+
+#: ``SBPConfig.shard_loss_policy`` values (see :mod:`repro.distributed.runtime`).
+SHARD_LOSS_POLICIES = ("recover", "degrade", "fail")
 
 
 class Variant(str, Enum):
@@ -199,21 +202,24 @@ class SBPConfig:
         from repro.sampling.samplers import get_sampler
 
         self.sampler = get_sampler(self.sampler).name
-        if self.shard_loss_policy not in ("recover", "degrade", "fail"):
+        if self.shard_loss_policy not in SHARD_LOSS_POLICIES:
             raise ValueError(
-                "shard_loss_policy must be 'recover', 'degrade' or 'fail', "
+                f"shard_loss_policy must be one of {SHARD_LOSS_POLICIES}, "
                 f"got {self.shard_loss_policy!r}"
             )
-        if self.update_strategy not in ("rebuild", "incremental"):
+        # Engine names are validated against their registries so
+        # in-test/plugin engines are accepted; imported lazily (the
+        # engines depend on this module). The "auto" storage policy name
+        # is legal here and resolved to a concrete engine at run entry
+        # (it needs the graph's size).
+        from repro.parallel.backend import available_update_strategies
+        from repro.sbm.block_storage import AUTO_STORAGE, available_block_storages
+
+        if self.update_strategy not in available_update_strategies():
             raise ValueError(
-                "update_strategy must be 'rebuild' or 'incremental', "
+                f"update_strategy must be one of {available_update_strategies()}, "
                 f"got {self.update_strategy!r}"
             )
-        # Validated against the registry so in-test/plugin engines are
-        # accepted; imported lazily (leaf module, no cycle risk). The
-        # "auto" policy name is legal here and resolved to a concrete
-        # engine at run entry (it needs the graph's size).
-        from repro.sbm.block_storage import AUTO_STORAGE, available_block_storages
 
         if (
             self.block_storage != AUTO_STORAGE

@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import BackendError, FrameError, TransportError
+from repro.utils.registry import Registry
 
 __all__ = [
     "CommSpec",
@@ -50,10 +51,10 @@ __all__ = [
     "decode_frame",
     "Transport",
     "SimTransport",
+    "TRANSPORTS",
     "register_transport",
     "get_transport",
     "available_transports",
-    "transport_registry",
 ]
 
 
@@ -408,38 +409,18 @@ class SimTransport(Transport):
         return frame
 
 
-_TRANSPORT_REGISTRY: dict[str, Callable[..., Transport]] = {}
-
-
-def register_transport(name: str, factory: Callable[..., Transport]) -> None:
-    """Register a transport factory under ``name`` (used by plugins/tests)."""
-    if name in _TRANSPORT_REGISTRY:
-        raise TransportError(f"transport {name!r} already registered")
-    _TRANSPORT_REGISTRY[name] = factory
+#: ``sim`` registers below; the OS-backed wires live in (and register
+#: from) :mod:`repro.distributed.wire`, imported on first lookup.
+TRANSPORTS: Registry[Callable[..., Transport]] = Registry(
+    "transport", TransportError, builtins=("repro.distributed.wire",)
+)
+register_transport = TRANSPORTS.register
+available_transports = TRANSPORTS.names
 
 
 def get_transport(name: str, num_ranks: int, **kwargs) -> Transport:
     """Instantiate a transport by name: 'sim', 'inproc' or 'pipes'."""
-    from repro.distributed import wire  # noqa: F401  (registers built-ins)
-
-    factory = _TRANSPORT_REGISTRY.get(name)
-    if factory is None:
-        raise TransportError(
-            f"unknown transport {name!r}; available: {sorted(_TRANSPORT_REGISTRY)}"
-        )
-    return factory(num_ranks=num_ranks, **kwargs)
-
-
-def available_transports() -> list[str]:
-    from repro.distributed import wire  # noqa: F401
-
-    return sorted(_TRANSPORT_REGISTRY)
-
-
-def transport_registry() -> dict[str, Callable[..., Transport]]:
-    """Name → factory snapshot of the transport registry."""
-    available_transports()  # import side effect registers the built-ins
-    return dict(_TRANSPORT_REGISTRY)
+    return TRANSPORTS.get(name)(num_ranks=num_ranks, **kwargs)
 
 
 register_transport("sim", SimTransport)

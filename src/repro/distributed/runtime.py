@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.variants import SHARD_LOSS_POLICIES
 from repro.distributed.chaos import ChaosSchedule, ChaosTransport
 from repro.distributed.comm import CommLedger, Transport, get_transport
 from repro.distributed.partition import partition_vertices
@@ -53,8 +54,6 @@ _log = get_logger("distributed.runtime")
 #: death is the driver process dying — the checkpoint layer's job, not
 #: this one's — so failure schedules may not target it.
 _SUPERVISOR = 0
-
-SHARD_LOSS_POLICIES = ("recover", "degrade", "fail")
 
 _DEFAULT_RANKS = 2
 

@@ -11,6 +11,8 @@ batch, process pool, or simulated threads).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.graph.graph import Graph
@@ -49,26 +51,20 @@ def apply_frozen_barrier(
 ) -> None:
     """Reconcile ``bm`` with a frozen pass's moved set (the §3.1 barrier).
 
-    ``updater``, when given, is a
-    :class:`~repro.parallel.backend.SweepUpdater` (``rebuild`` = O(E)
-    recount, ``incremental`` = O(Σ deg(moved)) delta-apply — both leave
-    the blockmodel byte-equal). ``None`` keeps the legacy copy-and-
-    rebuild barrier. ``rebuild_timer`` accrues the cost either way.
+    ``updater`` is a :class:`~repro.parallel.backend.SweepUpdater`
+    (``rebuild`` = O(E) recount, ``incremental`` = O(Σ deg(moved))
+    delta-apply — both leave the blockmodel byte-equal); ``None`` means
+    :class:`~repro.sbm.incremental.RebuildUpdater`. ``rebuild_timer``,
+    when given, accrues the cost.
     """
-    if updater is not None:
-        if rebuild_timer is not None:
-            with rebuild_timer.measure():
-                updater.apply_sweep(bm, graph, moved_vertices, moved_targets)
-        else:
-            updater.apply_sweep(bm, graph, moved_vertices, moved_targets)
-        return
-    new_assignment = bm.assignment.copy()
-    new_assignment[moved_vertices] = moved_targets
-    if rebuild_timer is not None:
-        with rebuild_timer.measure():
-            bm.rebuild(graph, new_assignment)
-    else:
-        bm.rebuild(graph, new_assignment)
+    if updater is None:
+        # Imported here: repro.sbm.incremental imports repro.parallel,
+        # whose serial backend imports this package.
+        from repro.sbm.incremental import RebuildUpdater
+
+        updater = RebuildUpdater()
+    with rebuild_timer.measure() if rebuild_timer is not None else nullcontext():
+        updater.apply_sweep(bm, graph, moved_vertices, moved_targets)
 
 
 def async_gibbs_sweep(
@@ -89,20 +85,15 @@ def async_gibbs_sweep(
     where ``accepted`` is a boolean array and ``targets`` the proposed
     block per vertex. The frozen-state semantics hold because the
     evaluation stage completes — against the un-mutated ``bm`` — before
-    any update touches the blockmodel; no defensive copy of the
-    assignment vector is needed for that guarantee, so none is taken on
-    the delta path (the legacy path's O(V) ``assignment.copy()`` existed
-    only to feed ``rebuild`` a whole new membership vector).
+    any update touches the blockmodel, so no defensive copy of the
+    assignment vector is needed for that guarantee.
 
     ``rebuild_timer``, when given, accrues the per-sweep blockmodel
     reconciliation cost (the A-SBP barrier the paper discusses in §3.1)
     to the umbrella ``rebuild`` bucket, whichever engine pays it.
 
-    ``updater``, when given, is a
-    :class:`~repro.parallel.backend.SweepUpdater` that reconciles the
-    blockmodel with the moved set (``rebuild`` = O(E) recount,
-    ``incremental`` = O(Σ deg(moved)) delta-apply, bit-identical by
-    construction). ``None`` keeps the legacy copy-and-rebuild barrier.
+    ``updater`` reconciles the blockmodel with the moved set, as in
+    :func:`apply_frozen_barrier` (``None`` = the O(E) recount).
     """
     if len(randomness) < len(vertices):
         raise ValueError(

@@ -58,6 +58,7 @@ from repro.mcmc.convergence import ConvergenceMonitor
 from repro.mcmc.metropolis import metropolis_sweep
 from repro.parallel.partitioner import contiguous_chunks
 from repro.types import IntArray, SweepStats
+from repro.utils.registry import Registry
 from repro.utils.rng import SweepRandomness
 
 if TYPE_CHECKING:  # annotation-only; keeps runtime imports cycle-free
@@ -78,6 +79,7 @@ __all__ = [
     "SweepPlan",
     "SweepEngine",
     "VariantSpec",
+    "VARIANTS",
     "register_variant",
     "get_variant_spec",
     "available_variants",
@@ -585,32 +587,19 @@ class VariantSpec:
     build_plan: Callable[[SBPConfig], SweepPlan]
 
 
-_VARIANT_REGISTRY: dict[str, VariantSpec] = {}
+VARIANTS: Registry[VariantSpec] = Registry("variant", ReproError)
+get_variant_spec = VARIANTS.get
+available_variants = VARIANTS.names
 
 
 def register_variant(spec: VariantSpec) -> None:
     """Register a variant; its name becomes a valid ``SBPConfig.variant``."""
-    if spec.name in _VARIANT_REGISTRY:
-        raise ReproError(f"variant {spec.name!r} already registered")
-    _VARIANT_REGISTRY[spec.name] = spec
-
-
-def get_variant_spec(name: str) -> VariantSpec:
-    spec = _VARIANT_REGISTRY.get(str(name))
-    if spec is None:
-        raise ReproError(
-            f"unknown variant {name!r}; registered: {available_variants()}"
-        )
-    return spec
-
-
-def available_variants() -> list[str]:
-    return sorted(_VARIANT_REGISTRY)
+    VARIANTS.register(spec.name, spec)
 
 
 def build_plan(config: SBPConfig) -> SweepPlan:
     """Build the sweep plan for ``config``'s registered variant."""
-    return get_variant_spec(str(config.variant)).build_plan(config)
+    return get_variant_spec(config.variant).build_plan(config)
 
 
 def _sbp_plan(config: SBPConfig) -> SweepPlan:

@@ -1,4 +1,10 @@
-"""Backend protocol and registry."""
+"""Backend protocols and their registries.
+
+Three engine kinds live here, each behind a
+:class:`~repro.utils.registry.Registry`: execution backends (frozen
+sweep evaluation), merge backends (Alg. 1's candidate scan) and update
+strategies (the per-sweep barrier).
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import BackendError
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # annotation-only; keeps this module import-cycle-free
     import numpy as np
@@ -16,20 +23,20 @@ if TYPE_CHECKING:  # annotation-only; keeps this module import-cycle-free
 
 __all__ = [
     "ExecutionBackend",
+    "BACKENDS",
     "register_backend",
     "get_backend",
     "available_backends",
-    "backend_registry",
     "MergeBackend",
+    "MERGE_BACKENDS",
     "register_merge_backend",
     "get_merge_backend",
     "available_merge_backends",
-    "merge_backend_registry",
     "SweepUpdater",
+    "UPDATE_STRATEGIES",
     "register_update_strategy",
     "get_update_strategy",
     "available_update_strategies",
-    "update_strategy_registry",
 ]
 
 
@@ -69,14 +76,20 @@ class ExecutionBackend(ABC):
         self.close()
 
 
-_REGISTRY: dict[str, Callable[..., ExecutionBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (used by plugins/tests)."""
-    if name in _REGISTRY:
-        raise BackendError(f"backend {name!r} already registered")
-    _REGISTRY[name] = factory
+#: Built-ins register on import; imported lazily to avoid import cycles.
+BACKENDS: Registry[Callable[..., ExecutionBackend]] = Registry(
+    "backend",
+    BackendError,
+    builtins=(
+        "repro.distributed.runtime",
+        "repro.parallel.serial",
+        "repro.parallel.vectorized",
+        "repro.parallel.processpool",
+        "repro.resilience.resilient",
+    ),
+)
+register_backend = BACKENDS.register
+available_backends = BACKENDS.names
 
 
 def get_backend(name: str, **kwargs) -> ExecutionBackend:
@@ -88,36 +101,11 @@ def get_backend(name: str, **kwargs) -> ExecutionBackend:
     keyword, so wrapper backends compose from the CLI's single
     ``--backend`` string.
     """
-    # Import side registers the built-ins lazily to avoid import cycles.
-    from repro.distributed import runtime  # noqa: F401
-    from repro.parallel import serial, vectorized, processpool  # noqa: F401
-    from repro.resilience import resilient  # noqa: F401
-
-    factory = _REGISTRY.get(name)
-    if factory is None and ":" in name:
-        base, _, inner = name.partition(":")
-        wrapper = _REGISTRY.get(base)
-        if wrapper is not None and inner:
-            return wrapper(inner=inner, **kwargs)
-    if factory is None:
-        raise BackendError(
-            f"unknown backend {name!r}; available: {sorted(_REGISTRY)}"
-        )
-    return factory(**kwargs)
-
-
-def available_backends() -> list[str]:
-    from repro.distributed import runtime  # noqa: F401
-    from repro.parallel import serial, vectorized, processpool  # noqa: F401
-    from repro.resilience import resilient  # noqa: F401
-
-    return sorted(_REGISTRY)
-
-
-def backend_registry() -> dict[str, Callable[..., ExecutionBackend]]:
-    """Name → factory snapshot of the execution-backend registry."""
-    available_backends()  # import side effect registers the built-ins
-    return dict(_REGISTRY)
+    names = BACKENDS.names()
+    base, _, inner = name.partition(":")
+    if name not in names and inner and base in names:
+        return BACKENDS.get(base)(inner=inner, **kwargs)
+    return BACKENDS.get(name)(**kwargs)
 
 
 class MergeBackend(ABC):
@@ -146,38 +134,16 @@ class MergeBackend(ABC):
         """
 
 
-_MERGE_REGISTRY: dict[str, Callable[..., MergeBackend]] = {}
-
-
-def register_merge_backend(name: str, factory: Callable[..., MergeBackend]) -> None:
-    """Register a merge-phase backend factory under ``name``."""
-    if name in _MERGE_REGISTRY:
-        raise BackendError(f"merge backend {name!r} already registered")
-    _MERGE_REGISTRY[name] = factory
+MERGE_BACKENDS: Registry[Callable[..., MergeBackend]] = Registry(
+    "merge backend", BackendError, builtins=("repro.parallel.merge",)
+)
+register_merge_backend = MERGE_BACKENDS.register
+available_merge_backends = MERGE_BACKENDS.names
 
 
 def get_merge_backend(name: str, **kwargs) -> MergeBackend:
     """Instantiate a merge backend by name: 'serial' or 'vectorized'."""
-    from repro.parallel import merge  # noqa: F401  (registers built-ins)
-
-    factory = _MERGE_REGISTRY.get(name)
-    if factory is None:
-        raise BackendError(
-            f"unknown merge backend {name!r}; available: {sorted(_MERGE_REGISTRY)}"
-        )
-    return factory(**kwargs)
-
-
-def available_merge_backends() -> list[str]:
-    from repro.parallel import merge  # noqa: F401
-
-    return sorted(_MERGE_REGISTRY)
-
-
-def merge_backend_registry() -> dict[str, Callable[..., MergeBackend]]:
-    """Name → factory snapshot of the merge-backend registry."""
-    available_merge_backends()
-    return dict(_MERGE_REGISTRY)
+    return MERGE_BACKENDS.get(name)(**kwargs)
 
 
 class SweepUpdater(ABC):
@@ -215,36 +181,13 @@ class SweepUpdater(ABC):
         return None
 
 
-_UPDATE_REGISTRY: dict[str, Callable[..., SweepUpdater]] = {}
-
-
-def register_update_strategy(name: str, factory: Callable[..., SweepUpdater]) -> None:
-    """Register a sweep-update strategy factory under ``name``."""
-    if name in _UPDATE_REGISTRY:
-        raise BackendError(f"update strategy {name!r} already registered")
-    _UPDATE_REGISTRY[name] = factory
+UPDATE_STRATEGIES: Registry[Callable[..., SweepUpdater]] = Registry(
+    "update strategy", BackendError, builtins=("repro.sbm.incremental",)
+)
+register_update_strategy = UPDATE_STRATEGIES.register
+available_update_strategies = UPDATE_STRATEGIES.names
 
 
 def get_update_strategy(name: str, **kwargs) -> SweepUpdater:
     """Instantiate an update strategy by name: 'rebuild' or 'incremental'."""
-    from repro.sbm import incremental  # noqa: F401  (registers built-ins)
-
-    factory = _UPDATE_REGISTRY.get(name)
-    if factory is None:
-        raise BackendError(
-            f"unknown update strategy {name!r}; "
-            f"available: {sorted(_UPDATE_REGISTRY)}"
-        )
-    return factory(**kwargs)
-
-
-def available_update_strategies() -> list[str]:
-    from repro.sbm import incremental  # noqa: F401
-
-    return sorted(_UPDATE_REGISTRY)
-
-
-def update_strategy_registry() -> dict[str, Callable[..., SweepUpdater]]:
-    """Name → factory snapshot of the update-strategy registry."""
-    available_update_strategies()
-    return dict(_UPDATE_REGISTRY)
+    return UPDATE_STRATEGIES.get(name)(**kwargs)

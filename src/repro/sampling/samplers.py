@@ -40,12 +40,14 @@ from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.graph.transforms import induced_subgraph
 from repro.types import Assignment, IntArray
+from repro.utils.registry import Registry
 from repro.utils.rng import philox_stream
 
 __all__ = [
     "SAMPLER_PHASE",
     "SampledGraph",
     "SamplerSpec",
+    "SAMPLERS",
     "register_sampler",
     "get_sampler",
     "available_samplers",
@@ -128,27 +130,14 @@ class SamplerSpec:
     select: Callable[[Graph, int, int], IntArray]
 
 
-_SAMPLER_REGISTRY: dict[str, SamplerSpec] = {}
+SAMPLERS: Registry[SamplerSpec] = Registry("sampler", ReproError)
+get_sampler = SAMPLERS.get
+available_samplers = SAMPLERS.names
 
 
 def register_sampler(spec: SamplerSpec) -> None:
     """Register a sampler; its name becomes a valid ``SBPConfig.sampler``."""
-    if spec.name in _SAMPLER_REGISTRY:
-        raise ReproError(f"sampler {spec.name!r} already registered")
-    _SAMPLER_REGISTRY[spec.name] = spec
-
-
-def get_sampler(name: str) -> SamplerSpec:
-    spec = _SAMPLER_REGISTRY.get(str(name))
-    if spec is None:
-        raise ReproError(
-            f"unknown sampler {name!r}; registered: {available_samplers()}"
-        )
-    return spec
-
-
-def available_samplers() -> list[str]:
-    return sorted(_SAMPLER_REGISTRY)
+    SAMPLERS.register(spec.name, spec)
 
 
 def sample_size(num_vertices: int, rate: float) -> int:

@@ -17,8 +17,8 @@ a small contract of reads and O(change) mutations:
 * **densify** for MDL evaluation and serialization.
 
 This module defines that contract (:class:`BlockState`), a registry
-(:func:`register_block_storage` / :func:`get_block_storage`) and the two
-built-in engines:
+(:data:`BLOCK_STORAGES`, with :func:`register_block_storage` /
+:func:`get_block_storage`) and the three built-in engines:
 
 ``dense``
     The original contiguous int64 matrix, retained as the oracle. Its
@@ -26,8 +26,7 @@ built-in engines:
     code (and tests) that read or poke ``bm.B`` keep working unchanged.
 ``sparse``
     Numpy-native per-row sorted ``(cols, vals)`` arrays with a mirrored
-    per-column index, replacing the dict-of-dicts prototype in
-    :mod:`repro.sbm.sparse` so gathers stay vectorized. A lazy flattened
+    per-column index, so gathers stay vectorized. A lazy flattened
     CSR view (sorted ``r * C + c`` keys) serves frozen-state batch
     gathers and the merge kernels; it is invalidated by any mutation and
     never consulted on the serial per-move path, which uses only the
@@ -82,6 +81,7 @@ import numpy as np
 from repro.errors import BackendError, BlockmodelError
 from repro.sbm import kernels as _K
 from repro.types import IntArray
+from repro.utils.registry import Registry
 
 __all__ = [
     "RowCDF",
@@ -89,6 +89,7 @@ __all__ = [
     "DenseBlockState",
     "SparseBlockState",
     "HybridBlockState",
+    "BLOCK_STORAGES",
     "register_block_storage",
     "get_block_storage",
     "available_block_storages",
@@ -1292,30 +1293,10 @@ def resolve_block_storage(
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_STORAGE_REGISTRY: dict[str, type[BlockState]] = {}
-
-
-def register_block_storage(name: str, cls: type[BlockState]) -> None:
-    """Register a storage engine class under ``name`` (plugins/tests)."""
-    if name in _STORAGE_REGISTRY:
-        raise BackendError(f"block storage {name!r} already registered")
-    _STORAGE_REGISTRY[name] = cls
-
-
-def get_block_storage(name: str) -> type[BlockState]:
-    """Look up a storage engine class: 'dense', 'sparse' or 'hybrid'."""
-    cls = _STORAGE_REGISTRY.get(name)
-    if cls is None:
-        raise BackendError(
-            f"unknown block storage {name!r}; "
-            f"available: {sorted(_STORAGE_REGISTRY)}"
-        )
-    return cls
-
-
-def available_block_storages() -> list[str]:
-    return sorted(_STORAGE_REGISTRY)
-
+BLOCK_STORAGES: Registry[type[BlockState]] = Registry("block storage", BackendError)
+register_block_storage = BLOCK_STORAGES.register
+get_block_storage = BLOCK_STORAGES.get
+available_block_storages = BLOCK_STORAGES.names
 
 register_block_storage("dense", DenseBlockState)
 register_block_storage("sparse", SparseBlockState)

@@ -32,11 +32,13 @@ from typing import Callable
 
 from repro.errors import LeaseError, ServiceError, UnknownJobError
 from repro.service.jobs import JobSpec
+from repro.utils.registry import Registry
 
 __all__ = [
     "JobState",
     "QueuedJob",
     "LeaseQueue",
+    "JOB_QUEUES",
     "register_job_queue",
     "get_job_queue",
     "available_job_queues",
@@ -266,27 +268,10 @@ class LeaseQueue:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_QUEUE_REGISTRY: dict[str, Callable[..., LeaseQueue]] = {}
-
-
-def register_job_queue(name: str, factory: Callable[..., LeaseQueue]) -> None:
-    """Register a queue engine; its name becomes valid for ``repro serve``."""
-    if name in _QUEUE_REGISTRY:
-        raise ServiceError(f"job queue {name!r} already registered")
-    _QUEUE_REGISTRY[name] = factory
-
-
-def get_job_queue(name: str) -> Callable[..., LeaseQueue]:
-    factory = _QUEUE_REGISTRY.get(str(name))
-    if factory is None:
-        raise ServiceError(
-            f"unknown job queue {name!r}; registered: {available_job_queues()}"
-        )
-    return factory
-
-
-def available_job_queues() -> list[str]:
-    return sorted(_QUEUE_REGISTRY)
+JOB_QUEUES: Registry[Callable[..., LeaseQueue]] = Registry("job queue", ServiceError)
+register_job_queue = JOB_QUEUES.register
+get_job_queue = JOB_QUEUES.get
+available_job_queues = JOB_QUEUES.names
 
 
 def _fifo_queue(**kwargs) -> LeaseQueue:

@@ -41,12 +41,14 @@ from repro.io.serialize import (
     stream_from_payload,
     stream_payload,
 )
+from repro.utils.registry import Registry
 
 __all__ = [
     "StoreStats",
     "ResultStore",
     "DiskResultStore",
     "MemoryResultStore",
+    "RESULT_STORES",
     "register_result_store",
     "get_result_store",
     "available_result_stores",
@@ -296,29 +298,12 @@ class MemoryResultStore(ResultStore):
 # ----------------------------------------------------------------------
 # Registry (the pluggable-engine pattern shared by the whole repo)
 # ----------------------------------------------------------------------
-_STORE_REGISTRY: dict[str, Callable[..., ResultStore]] = {}
-
-
-def register_result_store(name: str, factory: Callable[..., ResultStore]) -> None:
-    """Register a store engine; its name becomes valid for ``repro serve``."""
-    if name in _STORE_REGISTRY:
-        raise ServiceError(f"result store {name!r} already registered")
-    _STORE_REGISTRY[name] = factory
-
-
-def get_result_store(name: str) -> Callable[..., ResultStore]:
-    factory = _STORE_REGISTRY.get(str(name))
-    if factory is None:
-        raise ServiceError(
-            f"unknown result store {name!r}; "
-            f"registered: {available_result_stores()}"
-        )
-    return factory
-
-
-def available_result_stores() -> list[str]:
-    return sorted(_STORE_REGISTRY)
-
+RESULT_STORES: Registry[Callable[..., ResultStore]] = Registry(
+    "result store", ServiceError
+)
+register_result_store = RESULT_STORES.register
+get_result_store = RESULT_STORES.get
+available_result_stores = RESULT_STORES.names
 
 register_result_store("disk", DiskResultStore)
 register_result_store("memory", MemoryResultStore)

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ReproError
+from repro.utils.registry import Registry
 
 __all__ = [
     "drift_value",
     "DriftPolicy",
+    "DRIFT_POLICIES",
     "register_drift_policy",
     "get_drift_policy",
     "available_drift_policies",
@@ -56,28 +58,14 @@ class DriftPolicy:
     should_cold_fit: Callable[[float, float], bool]
 
 
-_DRIFT_REGISTRY: dict[str, DriftPolicy] = {}
+DRIFT_POLICIES: Registry[DriftPolicy] = Registry("drift policy", ReproError)
+get_drift_policy = DRIFT_POLICIES.get
+available_drift_policies = DRIFT_POLICIES.names
 
 
 def register_drift_policy(policy: DriftPolicy) -> None:
     """Register a policy; its name becomes valid for ``repro stream``."""
-    if policy.name in _DRIFT_REGISTRY:
-        raise ReproError(f"drift policy {policy.name!r} already registered")
-    _DRIFT_REGISTRY[policy.name] = policy
-
-
-def get_drift_policy(name: str) -> DriftPolicy:
-    policy = _DRIFT_REGISTRY.get(str(name))
-    if policy is None:
-        raise ReproError(
-            f"unknown drift policy {name!r}; "
-            f"registered: {available_drift_policies()}"
-        )
-    return policy
-
-
-def available_drift_policies() -> list[str]:
-    return sorted(_DRIFT_REGISTRY)
+    DRIFT_POLICIES.register(policy.name, policy)
 
 
 register_drift_policy(DriftPolicy(

@@ -34,11 +34,13 @@ from repro.generators import DCSBMParams, generate_dcsbm
 from repro.graph.graph import Graph
 from repro.graph.stream import EdgeBatch
 from repro.types import Assignment
+from repro.utils.registry import Registry
 from repro.utils.rng import philox_stream
 
 __all__ = [
     "EdgeStream",
     "StreamSourceSpec",
+    "STREAM_SOURCES",
     "register_stream_source",
     "get_stream_source",
     "available_stream_sources",
@@ -79,28 +81,14 @@ class StreamSourceSpec:
     build: Callable[..., EdgeStream]
 
 
-_SOURCE_REGISTRY: dict[str, StreamSourceSpec] = {}
+STREAM_SOURCES: Registry[StreamSourceSpec] = Registry("stream source", ReproError)
+get_stream_source = STREAM_SOURCES.get
+available_stream_sources = STREAM_SOURCES.names
 
 
 def register_stream_source(spec: StreamSourceSpec) -> None:
     """Register a source; its name becomes valid for ``repro stream``."""
-    if spec.name in _SOURCE_REGISTRY:
-        raise ReproError(f"stream source {spec.name!r} already registered")
-    _SOURCE_REGISTRY[spec.name] = spec
-
-
-def get_stream_source(name: str) -> StreamSourceSpec:
-    spec = _SOURCE_REGISTRY.get(str(name))
-    if spec is None:
-        raise ReproError(
-            f"unknown stream source {name!r}; "
-            f"registered: {available_stream_sources()}"
-        )
-    return spec
-
-
-def available_stream_sources() -> list[str]:
-    return sorted(_SOURCE_REGISTRY)
+    STREAM_SOURCES.register(spec.name, spec)
 
 
 def synthetic_churn_stream(

@@ -53,6 +53,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "g.txt", "--variant", "nope"])
 
+    def test_detect_accepts_registered_merge_backend(self):
+        from repro.parallel.backend import available_merge_backends, register_merge_backend
+        from repro.parallel.merge import VectorizedMergeBackend
+
+        if "plugin-merge" not in available_merge_backends():
+            register_merge_backend("plugin-merge", VectorizedMergeBackend)
+        args = build_parser().parse_args(
+            ["detect", "g.txt", "--merge-backend", "plugin-merge"]
+        )
+        assert args.merge_backend == "plugin-merge"
+
 
 class TestVariantsCommand:
     def test_lists_every_registered_spec(self, capsys):
