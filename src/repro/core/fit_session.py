@@ -135,15 +135,24 @@ class FitSession:
         fills the session's graph/config identity fields without running
         any search. ``timings`` defaults to a gauges-only record.
         """
-        graph = self.graph
-        mdl = bm.mdl(graph)
-        if timings is None:
-            timings = PhaseTimings()
+        return self._result(
+            bm, bm.mdl(self.graph), timings or PhaseTimings(),
+            interrupted=interrupted, converged=converged,
+            mcmc_sweeps=mcmc_sweeps, outer_iterations=outer_iterations,
+            sweep_stats=sweep_stats or [], search_history=search_history or [],
+        )
+
+    def _result(
+        self, bm: Blockmodel, mdl: float, timings: PhaseTimings, **run_fields
+    ) -> SBPResult:
+        """Every result of the session is built here: identity fields
+        from the session, gauges sampled from ``bm`` and the process."""
+        graph, config = self.graph, self.config
         timings.peak_rss_bytes = max(timings.peak_rss_bytes, peak_rss_bytes())
         timings.b_nnz = bm.state.nnz
         timings.b_density = bm.state.density
         return SBPResult(
-            variant=str(self.config.variant),
+            variant=str(config.variant),
             assignment=bm.assignment,
             num_blocks=bm.num_blocks,
             mdl=mdl,
@@ -153,16 +162,9 @@ class FitSession:
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
             timings=timings,
-            mcmc_sweeps=mcmc_sweeps,
-            outer_iterations=outer_iterations,
-            seed=self.config.seed,
-            converged=converged,
-            interrupted=interrupted,
-            sweep_stats=sweep_stats if sweep_stats is not None else [],
-            search_history=(
-                search_history if search_history is not None else []
-            ),
-            block_storage=self.config.block_storage,
+            seed=config.seed,
+            block_storage=config.block_storage,
+            **run_fields,
         )
 
     # ------------------------------------------------------------------
@@ -223,11 +225,9 @@ class FitSession:
         )
         auditor = InvariantAuditor(config.audit_cadence, config.audit_self_heal)
         stop = StopGuard(config.time_budget)
-        if hasattr(backend, "bind_stop_guard"):
-            # The distributed runtime's degrade policy stops the run
-            # between sweeps instead of raising, yielding a best-so-far
-            # result.
-            backend.bind_stop_guard(stop)
+        # The distributed runtime's degrade policy stops the run between
+        # sweeps instead of raising, yielding a best-so-far result.
+        backend.bind_stop_guard(stop)
         digest = config_digest(config)
 
         state = checkpointer.load() if checkpointer is not None else None
@@ -278,7 +278,6 @@ class FitSession:
         all_stats: list[SweepStats] = []
         converged = False
         interrupted = False
-        comm_report: dict | None = None
         try:
             with stop.install():
                 if needs_warm_refine:
@@ -358,11 +357,10 @@ class FitSession:
         finally:
             # Harvest the wire report before close() tears the transport
             # down.
-            if hasattr(backend, "comm_report"):
-                comm_report = backend.comm_report()
+            comm_report = backend.comm_report()
             backend.close()
 
-        if comm_report is not None and comm_report.get("degraded"):
+        if comm_report.get("degraded"):
             # A shard died under the 'degrade' policy: the survivors
             # finished the run, but the chain is no longer the reference
             # chain.
@@ -379,45 +377,14 @@ class FitSession:
             total_sweeps, timers.elapsed("block_merge"),
             timers.elapsed("mcmc"), timers.elapsed("rebuild"),
         )
-        timings = PhaseTimings(
-            block_merge=timers.elapsed("block_merge"),
-            mcmc=timers.elapsed("mcmc"),
-            rebuild=timers.elapsed("rebuild"),
-            other=timers.elapsed("other"),
-            merge_scan=timers.elapsed("merge_scan"),
-            merge_apply=timers.elapsed("merge_apply"),
-            barrier_rebuild=timers.elapsed("barrier_rebuild"),
-            barrier_apply=timers.elapsed("barrier_apply"),
-            peak_rss_bytes=peak_rss_bytes(),
-            b_nnz=best.state.nnz,
-            b_density=best.state.density,
-            comm_messages=int((comm_report or {}).get("p2p_messages", 0)),
-            comm_bytes=int((comm_report or {}).get("total_bytes", 0)),
-            comm_retries=int((comm_report or {}).get("retries", 0)),
-            frames_quarantined=int(
-                (comm_report or {}).get("frames_quarantined", 0)
-            ),
-            shard_releases=int((comm_report or {}).get("shard_releases", 0)),
-        )
-        return SBPResult(
-            variant=str(config.variant),
-            assignment=best.assignment,
-            num_blocks=best.num_blocks,
-            mdl=best_mdl,
-            normalized_mdl=normalized_description_length(
-                best_mdl, graph.num_edges, graph.num_vertices
-            ),
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            timings=timings,
+        return self._result(
+            best, best_mdl, PhaseTimings.from_run(timers.snapshot(), comm_report),
             mcmc_sweeps=total_sweeps,
             outer_iterations=outer,
-            seed=config.seed,
             converged=converged,
             interrupted=interrupted,
             sweep_stats=all_stats if config.record_work else [],
             search_history=search_history,
-            block_storage=config.block_storage,
         )
 
     @staticmethod

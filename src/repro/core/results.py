@@ -16,6 +16,10 @@ class SBPResult:
     ``timings`` carries the per-phase wall-clock breakdown used by the
     paper's Fig. 2 (MCMC fraction) and all speedup figures;
     ``mcmc_sweeps`` is the iteration count reported in Fig. 8.
+
+    :mod:`repro.io.serialize` writes every field in declaration order
+    under its own name; a file that predates a field loads it as the
+    default below, so every default is also the legacy value.
     """
 
     variant: str
@@ -33,9 +37,14 @@ class SBPResult:
     #: True when the run was cut short (SIGINT or time budget) and this
     #: is the best-so-far partition rather than a converged search.
     interrupted: bool = False
-    sweep_stats: list[SweepStats] = field(default_factory=list, repr=False)
+    #: in-memory only, like ``search_history``: result files omit both.
+    sweep_stats: list[SweepStats] = field(
+        default_factory=list, repr=False, metadata={"serialized": False}
+    )
     #: golden-section trace: (num_blocks, mdl) per agglomerative iteration
-    search_history: list[tuple[int, float]] = field(default_factory=list, repr=False)
+    search_history: list[tuple[int, float]] = field(
+        default_factory=list, repr=False, metadata={"serialized": False}
+    )
     #: the concrete storage engine the run used — records what the
     #: ``auto`` policy resolved to (empty on legacy archives).
     block_storage: str = ""

@@ -45,11 +45,6 @@ __all__ = ["run_sbp", "run_best_of", "run_mcmc_phase"]
 
 _log = get_logger("core.sbp")
 
-# Back-compat alias: the storage resolver grew up and moved into the fit
-# engine; older call sites (and tests) reach it under this name.
-_resolve_storage_policy = resolve_storage_policy
-
-
 def run_mcmc_phase(
     bm: Blockmodel,
     graph: Graph,
@@ -102,24 +97,6 @@ def run_sbp(
 
         return run_sampled_sbp(graph, config, checkpointer)
     return FitSession(graph, config, checkpointer).cold_fit()
-
-
-def _run_search(
-    graph: Graph,
-    config: SBPConfig,
-    checkpointer: RunCheckpointer | None = None,
-    *,
-    warm_start: Blockmodel | None = None,
-    min_blocks: int = 1,
-) -> SBPResult:
-    """Back-compat shim over :meth:`FitSession.run` (the old engine name).
-
-    ``config.block_storage`` must already be resolved to a concrete
-    engine, exactly as before — :class:`FitSession` re-resolving a
-    concrete name is a no-op.
-    """
-    session = FitSession(graph, config, checkpointer)
-    return session.run(warm_start=warm_start, min_blocks=min_blocks)
 
 
 def run_best_of(

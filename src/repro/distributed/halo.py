@@ -18,12 +18,16 @@ question needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.distributed.comm import SimCommWorld
 from repro.distributed.graphdist import DistributedGraph
 from repro.types import IntArray
+
+if TYPE_CHECKING:
+    from repro.distributed.reliable import ReliableComm
 
 __all__ = [
     "HaloPlan",
@@ -71,7 +75,7 @@ def build_halo_plan(dgraph: DistributedGraph) -> HaloPlan:
 
 
 def halo_exchange_moves(
-    world: SimCommWorld,
+    world: SimCommWorld | ReliableComm,
     plan: HaloPlan,
     moves_by_rank: list[np.ndarray],
 ) -> list[np.ndarray]:
@@ -79,8 +83,15 @@ def halo_exchange_moves(
 
     ``moves_by_rank[a]`` is rank a's local (vertex, new_block) array for
     the sweep. Returns, per rank, the concatenated remote moves it
-    receives (its own moves excluded — it already knows them). Message
-    costs are charged to the world's ledger and virtual clocks.
+    receives (its own moves excluded — it already knows them).
+
+    ``world`` is any endpoint with ``send(payload, source, dest)`` and
+    ``recv(source, dest)``. On a :class:`SimCommWorld` message costs are
+    charged to its ledger and virtual clocks. On a
+    :class:`~repro.distributed.reliable.ReliableComm` (any transport,
+    optionally chaos-wrapped) the halo pattern inherits checksums,
+    retransmission and dedupe; empty send lists still send, doubling as
+    heartbeats for a supervisor layered on top.
     """
     if len(moves_by_rank) != plan.num_ranks:
         raise ValueError(
@@ -105,8 +116,7 @@ def halo_exchange_moves(
         for peer in per_peer:
             if peer == owner_rank:
                 continue
-            payload = world.recv(source=owner_rank, dest=peer)
-            received[peer].append(payload)
+            received[peer].append(world.recv(source=owner_rank, dest=peer))
 
     return [
         np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
@@ -114,44 +124,6 @@ def halo_exchange_moves(
     ]
 
 
-def halo_exchange_frames(
-    comm,
-    plan: HaloPlan,
-    moves_by_rank: list[np.ndarray],
-) -> list[np.ndarray]:
-    """:func:`halo_exchange_moves` over a reliable framed channel set.
-
-    Same plan, same per-rank results, but the move arrays cross a real
-    :class:`~repro.distributed.reliable.ReliableComm` (any transport,
-    optionally chaos-wrapped) instead of the virtual-clock world — so
-    the halo pattern inherits checksums, retransmission and dedupe for
-    free. Empty send lists still send (they double as heartbeats for a
-    supervisor layered on top).
-    """
-    if len(moves_by_rank) != plan.num_ranks:
-        raise ValueError(
-            f"need moves for {plan.num_ranks} ranks, got {len(moves_by_rank)}"
-        )
-    for owner_rank, per_peer in plan.sends.items():
-        moves = moves_by_rank[owner_rank]
-        moved_vertices = moves[:, 0] if moves.size else np.empty(0, dtype=np.int64)
-        for peer, ghosted in per_peer.items():
-            if peer == owner_rank:
-                continue
-            if moves.size:
-                relevant = moves[np.isin(moved_vertices, ghosted)]
-            else:
-                relevant = np.empty((0, 2), dtype=np.int64)
-            comm.send(relevant, source=owner_rank, dest=peer)
-
-    received: list[list[np.ndarray]] = [[] for _ in range(plan.num_ranks)]
-    for owner_rank, per_peer in plan.sends.items():
-        for peer in per_peer:
-            if peer == owner_rank:
-                continue
-            received[peer].append(comm.recv(source=owner_rank, dest=peer))
-
-    return [
-        np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-        for parts in received
-    ]
+#: The same exchange over a reliable framed channel set (one body for
+#: both endpoint kinds; the name is kept for callers).
+halo_exchange_frames = halo_exchange_moves

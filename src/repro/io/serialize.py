@@ -23,7 +23,9 @@ import os
 import tempfile
 import zipfile
 from contextlib import contextmanager
-from typing import Iterator
+from dataclasses import MISSING, Field, fields, is_dataclass
+from functools import cache
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from repro.core.results import SBPResult
 from repro.errors import BackendError, ReproError, SerializationError
 from repro.sbm.block_storage import get_block_storage
 from repro.sbm.blockmodel import Blockmodel
-from repro.types import Assignment, PhaseTimings
+from repro.types import Assignment
 
 __all__ = [
     "atomic_write",
@@ -118,54 +120,62 @@ def _check_version(path: str | os.PathLike[str], payload: dict, supported: int) 
     return version
 
 
+def _serialized_fields(record_type) -> list[Field]:
+    return [f for f in fields(record_type) if f.metadata.get("serialized", True)]
+
+
+@cache
+def _field_types(record_type) -> dict[str, object]:
+    return get_type_hints(record_type)
+
+
+def _to_json(value):
+    """Records as ``{field: value}`` dicts in declaration order, arrays as
+    lists, everything else as is."""
+    if is_dataclass(value):
+        return {
+            f.name: _to_json(getattr(value, f.name))
+            for f in _serialized_fields(type(value))
+        }
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _from_json(record_type, payload: dict):
+    """Rebuild a record from :func:`_to_json` output, field by field.
+
+    Each value is converted to its field's annotated type. An absent key
+    takes the field's default (the file predates the field) unless the
+    field has none or is declared ``required``: then it raises KeyError.
+    """
+    types = _field_types(record_type)
+    values = {}
+    for f in _serialized_fields(record_type):
+        if f.name not in payload:
+            if f.default is MISSING or f.metadata.get("required"):
+                raise KeyError(f.name)
+            continue
+        value, kind = payload[f.name], types[f.name]
+        if is_dataclass(kind):
+            values[f.name] = _from_json(kind, value)
+        elif kind == Assignment:
+            values[f.name] = np.asarray(value, dtype=np.int64)
+        else:
+            values[f.name] = kind(value)
+    return record_type(**values)
+
+
 def result_payload(result: SBPResult) -> dict:
     """The version-free result body shared by every artifact embedding one.
 
     Used by plain result files, the stream-result container and the
     service result store — all of them tag the payload with the shared
-    format version so old files keep loading.
+    format version so old files keep loading. Every serialized field of
+    :class:`SBPResult` and its :class:`~repro.types.PhaseTimings`, in
+    declaration order.
     """
-    return {
-        "variant": result.variant,
-        "assignment": result.assignment.tolist(),
-        "num_blocks": result.num_blocks,
-        "mdl": result.mdl,
-        "normalized_mdl": result.normalized_mdl,
-        "num_vertices": result.num_vertices,
-        "num_edges": result.num_edges,
-        "timings": {
-            "block_merge": result.timings.block_merge,
-            "mcmc": result.timings.mcmc,
-            "rebuild": result.timings.rebuild,
-            "other": result.timings.other,
-            "merge_scan": result.timings.merge_scan,
-            "merge_apply": result.timings.merge_apply,
-            "barrier_rebuild": result.timings.barrier_rebuild,
-            "barrier_apply": result.timings.barrier_apply,
-            "sampling": result.timings.sampling,
-            "extension": result.timings.extension,
-            "finetune": result.timings.finetune,
-            "peak_rss_bytes": result.timings.peak_rss_bytes,
-            "b_nnz": result.timings.b_nnz,
-            "b_density": result.timings.b_density,
-            "comm_messages": result.timings.comm_messages,
-            "comm_bytes": result.timings.comm_bytes,
-            "comm_retries": result.timings.comm_retries,
-            "frames_quarantined": result.timings.frames_quarantined,
-            "shard_releases": result.timings.shard_releases,
-        },
-        "mcmc_sweeps": result.mcmc_sweeps,
-        "outer_iterations": result.outer_iterations,
-        "seed": result.seed,
-        "converged": result.converged,
-        "interrupted": result.interrupted,
-        "block_storage": result.block_storage,
-        "sampler": result.sampler,
-        "sample_rate": result.sample_rate,
-        "refit_mode": result.refit_mode,
-        "drift": result.drift,
-        "nmi_prev": result.nmi_prev,
-    }
+    return _to_json(result)
 
 
 def save_result(result: SBPResult, path: str | os.PathLike[str]) -> None:
@@ -186,53 +196,7 @@ def result_from_payload(path, payload: dict) -> SBPResult:
     :class:`SerializationError` naming it.
     """
     try:
-        timings = payload["timings"]
-        return SBPResult(
-            variant=payload["variant"],
-            assignment=np.asarray(payload["assignment"], dtype=np.int64),
-            num_blocks=int(payload["num_blocks"]),
-            mdl=float(payload["mdl"]),
-            normalized_mdl=float(payload["normalized_mdl"]),
-            num_vertices=int(payload["num_vertices"]),
-            num_edges=int(payload["num_edges"]),
-            timings=PhaseTimings(
-                block_merge=float(timings["block_merge"]),
-                mcmc=float(timings["mcmc"]),
-                rebuild=float(timings["rebuild"]),
-                other=float(timings["other"]),
-                # Sub-buckets were not serialized before this format grew
-                # them; absent keys read back as zero.
-                merge_scan=float(timings.get("merge_scan", 0.0)),
-                merge_apply=float(timings.get("merge_apply", 0.0)),
-                barrier_rebuild=float(timings.get("barrier_rebuild", 0.0)),
-                barrier_apply=float(timings.get("barrier_apply", 0.0)),
-                # SamBaS stage splits arrived in v6.
-                sampling=float(timings.get("sampling", 0.0)),
-                extension=float(timings.get("extension", 0.0)),
-                finetune=float(timings.get("finetune", 0.0)),
-                # Memory gauges arrived in v3; absent keys read as zero.
-                peak_rss_bytes=int(timings.get("peak_rss_bytes", 0)),
-                b_nnz=int(timings.get("b_nnz", 0)),
-                b_density=float(timings.get("b_density", 0.0)),
-                # Distributed wire counters arrived in v5.
-                comm_messages=int(timings.get("comm_messages", 0)),
-                comm_bytes=int(timings.get("comm_bytes", 0)),
-                comm_retries=int(timings.get("comm_retries", 0)),
-                frames_quarantined=int(timings.get("frames_quarantined", 0)),
-                shard_releases=int(timings.get("shard_releases", 0)),
-            ),
-            mcmc_sweeps=int(payload["mcmc_sweeps"]),
-            outer_iterations=int(payload["outer_iterations"]),
-            seed=int(payload["seed"]),
-            converged=bool(payload["converged"]),
-            interrupted=bool(payload.get("interrupted", False)),  # absent in v1
-            block_storage=str(payload.get("block_storage", "")),  # v4
-            sampler=str(payload.get("sampler", "")),  # v6
-            sample_rate=float(payload.get("sample_rate", 1.0)),  # v6
-            refit_mode=str(payload.get("refit_mode", "")),  # v7
-            drift=float(payload.get("drift", 0.0)),  # v7
-            nmi_prev=float(payload.get("nmi_prev", -1.0)),  # v7
-        )
+        return _from_json(SBPResult, payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"{path}: malformed result field ({exc!r})") from exc
 
@@ -399,7 +363,9 @@ def load_blockmodel(path: str | os.PathLike[str]) -> Blockmodel:
     field and load as ``dense``.
     """
     try:
-        with np.load(path) as data:
+        # Our own handle: np.load(path) leaks the file it opens when the
+        # archive is too truncated for NpzFile's constructor.
+        with open(path, "rb") as fh, np.load(fh) as data:
             try:
                 B = data["B"].astype(np.int64)
                 assignment = data["assignment"].astype(np.int64)

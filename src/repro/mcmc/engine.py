@@ -327,43 +327,6 @@ class _BoundSegment:
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
-class _StatsAccumulator:
-    """Merges per-segment stats into one per-sweep :class:`SweepStats`.
-
-    ``work_per_vertex`` keeps the legacy meaning of "per-vertex work of
-    the *parallel* portion" (what the simulated thread executor models):
-    frozen-segment vectors are concatenated in plan order; serial
-    vectors are only reported when the plan has no frozen work at all
-    (pure-serial SBP, whose vector the recorder has always kept).
-    """
-
-    def __init__(self) -> None:
-        self._stats = SweepStats()
-        self._serial_parts: list[np.ndarray] = []
-        self._frozen_parts: list[np.ndarray] = []
-
-    def add(self, stats: SweepStats, mode: SegmentMode) -> None:
-        merged = self._stats
-        merged.proposals += stats.proposals
-        merged.accepted += stats.accepted
-        merged.serial_work += stats.serial_work
-        merged.parallel_work += stats.parallel_work
-        merged.barrier_moved += stats.barrier_moved
-        if stats.work_per_vertex is not None:
-            if mode is SegmentMode.SERIAL_INPLACE:
-                self._serial_parts.append(stats.work_per_vertex)
-            else:
-                self._frozen_parts.append(stats.work_per_vertex)
-
-    def result(self) -> SweepStats:
-        parts = self._frozen_parts or self._serial_parts
-        if parts:
-            self._stats.work_per_vertex = (
-                parts[0] if len(parts) == 1 else np.concatenate(parts)
-            )
-        return self._stats
-
-
 class SweepEngine:
     """Executes any :class:`SweepPlan` to convergence.
 
@@ -479,7 +442,7 @@ class SweepEngine:
             if total > 0
         }
         cursor = {KIND_SERIAL: 0, KIND_FROZEN: 0}
-        merged = _StatsAccumulator()
+        serial, frozen = SweepStats(), SweepStats()
         for segment in bound:
             start = cursor[segment.kind]
             stop = start + len(segment.vertices)
@@ -488,14 +451,22 @@ class SweepEngine:
                 uniforms=tables[segment.kind].uniforms[start:stop]
             )
             if segment.mode is SegmentMode.SERIAL_INPLACE:
-                stats = metropolis_sweep(
+                serial = serial.merged_with(metropolis_sweep(
                     bm, graph, segment.vertices, rand, config.beta,
                     record_work=config.record_work, updater=self.updater,
-                )
+                ))
             else:
-                stats = self._run_frozen(bm, graph, segment, rand)
-            merged.add(stats, segment.mode)
-        return merged.result()
+                frozen = frozen.merged_with(
+                    self._run_frozen(bm, graph, segment, rand)
+                )
+        # ``work_per_vertex`` keeps its legacy meaning, the per-vertex work
+        # of the *parallel* portion (what the simulated thread executor
+        # models): the frozen segments' vectors in plan order, or the
+        # serial ones when the plan has no frozen work (pure-serial SBP).
+        merged = serial.merged_with(frozen.without_work())
+        if frozen.work_per_vertex is not None:
+            merged.work_per_vertex = frozen.work_per_vertex
+        return merged
 
     def _run_frozen(
         self, bm, graph: Graph, segment: _BoundSegment, rand: SweepRandomness
@@ -509,7 +480,6 @@ class SweepEngine:
         """
         config = self.config
         total = SweepStats()
-        work_parts: list[np.ndarray] = []
         for start, stop in contiguous_chunks(len(segment.vertices), segment.batches):
             batch_rand = SweepRandomness(uniforms=rand.uniforms[start:stop])
             stats = async_gibbs_sweep(
@@ -518,17 +488,7 @@ class SweepEngine:
                 record_work=config.record_work,
                 rebuild_timer=self.rebuild_timer, updater=self.updater,
             )
-            total.proposals += stats.proposals
-            total.accepted += stats.accepted
-            total.parallel_work += stats.parallel_work
-            total.barrier_moved += stats.barrier_moved
-            if config.record_work and stats.work_per_vertex is not None:
-                work_parts.append(stats.work_per_vertex)
-        if work_parts:
-            total.work_per_vertex = (
-                work_parts[0] if len(work_parts) == 1
-                else np.concatenate(work_parts)
-            )
+            total = total.merged_with(stats)
         return total
 
     def run_phase(

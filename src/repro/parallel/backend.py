@@ -66,6 +66,17 @@ class ExecutionBackend(ABC):
         is the proposed (unused) block.
         """
 
+    def bind_stop_guard(self, stop) -> None:
+        """Hand the backend the run's stop guard (no-op by default).
+
+        The distributed runtime's degrade policy triggers it to stop the
+        run between sweeps instead of raising.
+        """
+
+    def comm_report(self) -> dict[str, object]:
+        """Wire and supervision report; empty for in-process backends."""
+        return {}
+
     def close(self) -> None:
         """Release resources (worker pools); idempotent."""
 

@@ -252,6 +252,17 @@ class ResilientBackend(ExecutionBackend):
             )
         return None
 
+    def bind_stop_guard(self, stop) -> None:
+        for backend in self.chain:
+            backend.bind_stop_guard(stop)
+
+    def comm_report(self) -> dict[str, object]:
+        """The chain's reports merged; earlier members win a shared key."""
+        report: dict[str, object] = {}
+        for backend in reversed(self.chain):
+            report.update(backend.comm_report())
+        return report
+
     def close(self) -> None:
         for backend in self.chain:
             try:

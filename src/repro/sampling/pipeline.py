@@ -54,7 +54,7 @@ from repro.resilience.checkpoint import RunCheckpointer
 from repro.sampling.extension import extend_assignment
 from repro.sampling.samplers import sample_graph
 from repro.sbm.blockmodel import Blockmodel
-from repro.types import PhaseTimings
+from repro.types import FieldKind
 from repro.utils.log import get_logger
 
 __all__ = ["run_sampled_sbp"]
@@ -111,28 +111,28 @@ def run_sampled_sbp(
         extension_seconds,
     )
 
+    # The front-end's own record: its two stages, plus what the sample
+    # fit measured that the full graph's record cannot hold (its time is
+    # inside ``sampling``): its wire counters and its memory peak.
+    front = dc_replace(
+        fit.timings.only(FieldKind.COUNTER),
+        sampling=sampling_seconds,
+        extension=extension_seconds,
+        peak_rss_bytes=fit.timings.peak_rss_bytes,
+    )
     remaining = None
     if config.time_budget is not None:
         remaining = max(config.time_budget - (time.monotonic() - started), 0.0)
     if fit.interrupted or remaining == 0.0:
         # Best-so-far: the extended partition, no fine-tune. The session
         # packages it; the sampling-specific accounting rides on top.
-        timings = PhaseTimings(
-            sampling=sampling_seconds,
-            extension=extension_seconds,
-            comm_messages=fit.timings.comm_messages,
-            comm_bytes=fit.timings.comm_bytes,
-            comm_retries=fit.timings.comm_retries,
-            frames_quarantined=fit.timings.frames_quarantined,
-            shard_releases=fit.timings.shard_releases,
-        )
         partial_result = FitSession(graph, config).partition_result(
             warm,
-            timings=timings,
+            timings=front,
             interrupted=True,
             mcmc_sweeps=fit.mcmc_sweeps,
             outer_iterations=fit.outer_iterations,
-            sweep_stats=fit.sweep_stats if config.record_work else [],
+            sweep_stats=fit.sweep_stats,
             search_history=fit.search_history,
         )
         return dc_replace(
@@ -150,50 +150,17 @@ def run_sampled_sbp(
         checkpointer.child("finetune") if checkpointer is not None else None
     )
     fine = FitSession(graph, fine_config, fine_checkpointer).warm_refit(warm)
-
-    ft = fine.timings
-    timings = PhaseTimings(
-        block_merge=ft.block_merge,
-        mcmc=ft.mcmc,
-        rebuild=ft.rebuild,
-        other=ft.other,
-        merge_scan=ft.merge_scan,
-        merge_apply=ft.merge_apply,
-        barrier_rebuild=ft.barrier_rebuild,
-        barrier_apply=ft.barrier_apply,
-        sampling=sampling_seconds,
-        extension=extension_seconds,
-        finetune=ft.block_merge + ft.mcmc + ft.rebuild + ft.other,
-        peak_rss_bytes=max(fit.timings.peak_rss_bytes, ft.peak_rss_bytes),
-        b_nnz=ft.b_nnz,
-        b_density=ft.b_density,
-        comm_messages=fit.timings.comm_messages + ft.comm_messages,
-        comm_bytes=fit.timings.comm_bytes + ft.comm_bytes,
-        comm_retries=fit.timings.comm_retries + ft.comm_retries,
-        frames_quarantined=(
-            fit.timings.frames_quarantined + ft.frames_quarantined
+    # The fine-tune is the full-graph search: its result is ours, with
+    # the front-end's stages and the sample fit's counts added on.
+    return dc_replace(
+        fine,
+        timings=fine.timings.merged_with(
+            dc_replace(front, finetune=fine.timings.total)
         ),
-        shard_releases=fit.timings.shard_releases + ft.shard_releases,
-    )
-    return SBPResult(
-        variant=str(config.variant),
-        assignment=fine.assignment,
-        num_blocks=fine.num_blocks,
-        mdl=fine.mdl,
-        normalized_mdl=fine.normalized_mdl,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        timings=timings,
         mcmc_sweeps=fit.mcmc_sweeps + fine.mcmc_sweeps,
         outer_iterations=fit.outer_iterations + fine.outer_iterations,
-        seed=config.seed,
         converged=fit.converged and fine.converged,
-        interrupted=fine.interrupted,
-        sweep_stats=(
-            fit.sweep_stats + fine.sweep_stats if config.record_work else []
-        ),
-        search_history=fine.search_history,
-        block_storage=config.block_storage,
+        sweep_stats=fit.sweep_stats + fine.sweep_stats,
         sampler=sampled.sampler,
         sample_rate=sampled.realized_rate,
     )

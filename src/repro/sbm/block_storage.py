@@ -39,9 +39,7 @@ This module defines that contract (:class:`BlockState`), a registry
     the oracle), ``apply_move``/``scatter_edges`` append journal chunks
     and write through cached lines in O(deg), and whole-matrix reads,
     ``merge_into`` and ``compact`` flush the journal and reuse the
-    sparse paths. Per-line version counters let
-    :class:`repro.sbm.incremental.ProposalCache` revalidate lazily
-    instead of evicting the whole move dirty set.
+    sparse paths.
 
 The ``auto`` policy (:func:`resolve_block_storage`) is not an engine:
 it resolves to ``dense`` or ``hybrid`` from (C, density, memory budget)
@@ -159,16 +157,6 @@ class BlockState(ABC):
 
     name: str = "abstract"
     num_blocks: int
-
-    #: Engines that bump a per-block version counter on every write set
-    #: this True and implement :meth:`line_version`; caches keyed on a
-    #: block's symmetrized row can then revalidate lazily instead of
-    #: being evicted eagerly after every accepted move.
-    tracks_line_versions: bool = False
-
-    def line_version(self, u: int) -> int:
-        """Monotonic write counter for block ``u``'s row+column lines."""
-        raise NotImplementedError(f"{self.name} storage has no line versions")
 
     # -- reads ----------------------------------------------------------
     @abstractmethod
@@ -824,7 +812,7 @@ class HybridBlockState(BlockState):
 
     The sparse engine owns the authoritative compressed matrix, but its
     per-move ``np.insert`` merges are the sweep-burst bottleneck. This
-    engine sits in front of it with three structures:
+    engine sits in front of it with two structures:
 
     * **LRU line caches** — up to :attr:`cache_lines` materialized dense
       rows and as many columns, stored as rows of one 2-D buffer per
@@ -841,10 +829,6 @@ class HybridBlockState(BlockState):
       Whole-matrix reads, merges, compaction, copies and serialization
       flush the journal through the sparse engine's aggregation path
       (which also performs the deferred negative-count audit).
-    * **per-block version counters** — bumped for every line a write
-      touches, letting :class:`repro.sbm.incremental.ProposalCache`
-      revalidate CDFs row-granularly instead of evicting the whole
-      ``{r,s} ∪ t_out ∪ t_in`` dirty set.
 
     A cache miss replays the missed line's pending journal entries on
     top of the backing row — each batch is line-sorted, so replay is a
@@ -868,7 +852,7 @@ class HybridBlockState(BlockState):
                  "_row_lru", "_col_lru", "_row_slots", "_col_slots",
                  "_row_buf", "_col_buf", "_row_resident", "_col_resident",
                  "_jrow", "_jcol", "_pending",
-                 "_flush_threshold", "_versions")
+                 "_flush_threshold")
 
     def __init__(
         self, backing: SparseBlockState, cache_lines: int | None = None
@@ -902,7 +886,6 @@ class HybridBlockState(BlockState):
         self._jcol: list[tuple[IntArray, IntArray, IntArray]] = []
         self._pending = 0
         self._flush_threshold = max(4096, 8 * self.num_blocks)
-        self._versions = np.zeros(self.num_blocks, dtype=np.int64)
 
     # -- journal --------------------------------------------------------
     def _flush(self) -> None:
@@ -968,8 +951,6 @@ class HybridBlockState(BlockState):
         order = np.argsort(cols * C + rows, kind="stable")
         self._jcol.append((cols[order], rows[order], deltas[order]))
         self._write_through(self._col_slots, self._col_buf, cols, rows, deltas)
-        np.add.at(self._versions, rows, 1)
-        np.add.at(self._versions, cols, 1)
         self._pending += n
         if self._pending >= self._flush_threshold:
             self._flush()
@@ -1057,14 +1038,13 @@ class HybridBlockState(BlockState):
         return self._materialize_axis(1, c, self._backing.dense_col)
 
     def _invalidate_lines(self) -> None:
-        """Drop every cached line and advance every version counter."""
+        """Drop every cached line."""
         self._row_lru.clear()
         self._col_lru.clear()
         self._row_slots.fill(-1)
         self._col_slots.fill(-1)
         self._row_resident = False
         self._col_resident = False
-        self._versions += 1
 
     # -- reads ----------------------------------------------------------
     # The ``_row_resident`` fast paths matter: in the C <= cache_lines
@@ -1200,11 +1180,6 @@ class HybridBlockState(BlockState):
         return cls(SparseBlockState.from_dense(dense))
 
     # -- observability --------------------------------------------------
-    tracks_line_versions = True
-
-    def line_version(self, u: int) -> int:
-        return int(self._versions[u])
-
     @property
     def nnz(self) -> int:
         self._flush()
@@ -1217,7 +1192,7 @@ class HybridBlockState(BlockState):
 
     def memory_bytes(self) -> int:
         """Backing + line buffers + journal + lookup arrays, no flush."""
-        total = self._backing.memory_bytes() + int(self._versions.nbytes)
+        total = self._backing.memory_bytes()
         total += int(self._row_slots.nbytes) + int(self._col_slots.nbytes)
         per_array_overhead = 112
         for buf in (self._row_buf, self._col_buf):

@@ -193,67 +193,29 @@ class ProposalCache:
     dirties precisely the blocks whose symmetrized row contains a
     changed cell: ``{r, s}`` (their full row/column changed) plus the
     mover's neighbour blocks ``t_out ∪ t_in`` (cells ``(r|s, t)`` and
-    ``(t, r|s)`` changed).
-
-    Two invalidation protocols, chosen per storage engine:
-
-    * **eager dirty-set** (dense, sparse): :meth:`invalidate_move` drops
-      the ``{r, s} ∪ t_out ∪ t_in`` entries in O(degree).
-    * **lazy row-granular** (engines with
-      ``tracks_line_versions = True``, i.e. hybrid): entries carry the
-      block's line version at build time and :meth:`row_cdf` revalidates
-      on access, so :meth:`invalidate_move` is a no-op and a CDF is only
-      rebuilt when *that block's* row or column was actually written —
-      strictly fewer rebuilds than the dirty set, with identical arrays
-      (staleness is impossible: the engine bumps the version inside
-      every write).
+    ``(t, r|s)`` changed); :meth:`invalidate_move` drops those entries
+    in O(degree).
     """
 
-    __slots__ = (
-        "_bm", "_cdfs", "_versioned", "_state", "_epoch", "hits", "misses",
-    )
+    __slots__ = ("_bm", "_cdfs", "_epoch", "hits", "misses")
 
     def __init__(self, bm: Blockmodel) -> None:
         self._bm = bm
-        self._versioned = bool(
-            getattr(bm.state, "tracks_line_versions", False)
-        )
-        self._state = bm.state
         self._epoch = bm.delta_epoch
-        # block -> RowCDF (eager) or block -> (version, RowCDF) (lazy).
-        self._cdfs: dict[int, object] = {}
+        self._cdfs: dict[int, RowCDF] = {}
         self.hits = 0
         self.misses = 0
 
     def row_cdf(self, u: int) -> RowCDF:
         if self._bm.delta_epoch != self._epoch:
             # An edge delta (or rebuild) rewrote cells without a move
-            # notification; every cached row may be stale. The lazy
-            # protocol would catch in-place scatters via line versions,
-            # but a rebuild swaps the state object and restarts its
-            # counters, so the epoch guard covers both protocols.
+            # notification; every cached row may be stale.
             self._cdfs.clear()
             self._epoch = self._bm.delta_epoch
-        state = self._bm.state
-        if self._versioned:
-            if state is not self._state:
-                # A rebuild/compact swapped the state object; its version
-                # counters restarted, so every stamp is meaningless.
-                self._cdfs.clear()
-                self._state = state
-            version = state.line_version(u)
-            entry = self._cdfs.get(u)
-            if entry is not None and entry[0] == version:
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-            cdf = state.sym_row_cdf(u)
-            self._cdfs[u] = (version, cdf)
-            return cdf
         cdf = self._cdfs.get(u)
         if cdf is None:
             self.misses += 1
-            cdf = state.sym_row_cdf(u)
+            cdf = self._bm.state.sym_row_cdf(u)
             self._cdfs[u] = cdf
         else:
             self.hits += 1
@@ -266,12 +228,7 @@ class ProposalCache:
             pop(int(b), None)
 
     def invalidate_move(self, r: int, s: int, t_out: IntArray, t_in: IntArray) -> None:
-        """Dirty-set invalidation for an applied move r → s.
-
-        No-op under the lazy protocol: version stamps subsume it.
-        """
-        if self._versioned:
-            return
+        """Dirty-set invalidation for an applied move r → s."""
         pop = self._cdfs.pop
         pop(int(r), None)
         pop(int(s), None)

@@ -4,8 +4,8 @@ The equivalence matrices (``test_block_storage.py``,
 ``test_storage_equivalence.py``) prove the hybrid engine replays dense
 chains end-to-end; this module attacks the machinery those matrices can
 miss by luck — evictions racing journaled writes, deferred audits,
-memory accounting, the row-granular :class:`ProposalCache` protocol and
-the ``auto`` storage policy.
+memory accounting, :class:`ProposalCache` invalidation and the ``auto``
+storage policy.
 """
 
 from __future__ import annotations
@@ -246,37 +246,39 @@ class TestProposalCacheRowGranular:
         return Blockmodel.from_assignment(graph, assignment, 6, storage=storage)
 
     def test_untouched_rows_survive_a_move(self, planted_graph):
-        """Versioned protocol: a move rebuilds only rows it wrote.
+        """A move rebuilds only the rows it wrote, on every engine.
 
-        Under the eager dirty-set protocol the ``{r, s} ∪ t_out ∪ t_in``
-        entries are dropped wholesale; the versioned protocol must keep
-        the *object-identical* CDF for every block whose line the move
-        did not touch, and rebuild exactly the touched ones.
+        ``invalidate_move`` drops the ``{r, s} ∪ t_out ∪ t_in`` entries;
+        every other block must keep its *object-identical* CDF, and the
+        touched ones must be rebuilt to the post-move values.
         """
         graph, _ = planted_graph
-        bm = self._blockmodel(graph, "hybrid")
-        cache = ProposalCache(bm)
-        assert cache._versioned
-        before = {u: cache.row_cdf(u) for u in range(bm.num_blocks)}
         t_out = np.asarray([2], dtype=np.int64)
         t_in = np.asarray([3], dtype=np.int64)
         ones = np.asarray([1], dtype=np.int64)
-        bm.state.apply_move(0, 1, t_out, ones, t_in, ones, 0)
-        cache.invalidate_move(0, 1, t_out, t_in)  # no-op when versioned
         touched = {0, 1, 2, 3}
-        for u in range(bm.num_blocks):
-            after = cache.row_cdf(u)
-            if u in touched:
-                assert after is not before[u], f"block {u} served stale CDF"
-                assert_array_equal(after.cdf, bm.state.sym_row_cdf(u).cdf)
-            else:
-                assert after is before[u], f"block {u} rebuilt needlessly"
+        for storage in ("dense", "sparse", "hybrid"):
+            bm = self._blockmodel(graph, storage)
+            cache = ProposalCache(bm)
+            before = {u: cache.row_cdf(u) for u in range(bm.num_blocks)}
+            bm.state.apply_move(0, 1, t_out, ones, t_in, ones, 0)
+            cache.invalidate_move(0, 1, t_out, t_in)
+            for u in range(bm.num_blocks):
+                after = cache.row_cdf(u)
+                if u in touched:
+                    assert after is not before[u], (
+                        f"{storage}: block {u} served stale CDF"
+                    )
+                    assert_array_equal(after.cdf, bm.state.sym_row_cdf(u).cdf)
+                else:
+                    assert after is before[u], (
+                        f"{storage}: block {u} rebuilt needlessly"
+                    )
 
     def test_eager_protocol_unchanged_for_dense(self, planted_graph):
         graph, _ = planted_graph
         bm = self._blockmodel(graph, "dense")
         cache = ProposalCache(bm)
-        assert not cache._versioned
         cache.row_cdf(0)
         cache.row_cdf(4)
         cache.invalidate_move(
@@ -284,33 +286,6 @@ class TestProposalCacheRowGranular:
         )
         assert 0 not in cache._cdfs
         assert 4 in cache._cdfs
-
-    def test_state_swap_clears_stamps(self, planted_graph):
-        """Fresh state objects restart version counters at zero.
-
-        Without the identity guard a stamp recorded against the old
-        state could falsely validate against the new one.
-        """
-        graph, _ = planted_graph
-        bm = self._blockmodel(graph, "hybrid")
-        cache = ProposalCache(bm)
-        stale = cache.row_cdf(0)
-        bm.state = bm.state.copy()  # e.g. a rebuild barrier swapped states
-        src = np.asarray([0], dtype=np.int64)
-        bm.state.scatter_edges(
-            src, np.asarray([1], dtype=np.int64),
-            src, np.asarray([2], dtype=np.int64),
-        )
-        fresh = cache.row_cdf(0)
-        assert fresh is not stale
-        assert_array_equal(fresh.cdf, bm.state.sym_row_cdf(0).cdf)
-
-    def test_merge_bumps_every_line(self):
-        state, _ = _tiny_hybrid()
-        versions = [state.line_version(u) for u in range(state.num_blocks)]
-        state.merge_into(0, 1)
-        for u in range(state.num_blocks):
-            assert state.line_version(u) > versions[u]
 
 
 class TestAutoPolicy:

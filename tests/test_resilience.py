@@ -44,6 +44,7 @@ from repro.resilience import (
     StopGuard,
 )
 from repro.resilience.checkpoint import config_digest
+from repro.types import FieldKind
 from repro.utils.rng import SweepRandomness
 
 #: Short phases keep full inference runs fast while still exercising
@@ -316,6 +317,29 @@ class TestResilientBackend:
         assert chaos.calls >= 5  # both faults actually fired
         np.testing.assert_array_equal(result.assignment, reference.assignment)
         assert result.mdl == reference.mdl
+
+    @pytest.mark.parametrize("policy", ["recover", "degrade"])
+    def test_wrapped_distributed_run_matches_bare(self, planted_graph, policy):
+        """``resilient:`` forwards the stop guard and the wire report, so
+        a wrapped run that loses a shard ends exactly like the bare one:
+        same interrupt flag, same wire counters, same MDL."""
+        graph, _ = planted_graph
+        config = SBPConfig(
+            variant="a-sbp", seed=1, max_sweeps=6,
+            backend_options={"failures": {2: [1]}},
+            shard_loss_policy=policy,
+        )
+        bare = run_sbp(graph, config.replace(backend="distributed:sim:3"))
+        wrapped = run_sbp(
+            graph, config.replace(backend="resilient:distributed:sim:3")
+        )
+        assert bare.timings.shard_releases == 1
+        assert bare.timings.comm_messages > 0
+        assert bare.interrupted is (policy == "degrade")
+        assert wrapped.interrupted is bare.interrupted
+        counters = (FieldKind.COUNTER,)
+        assert wrapped.timings.only(*counters) == bare.timings.only(*counters)
+        assert wrapped.mdl == bare.mdl
 
 
 # ----------------------------------------------------------------------
