@@ -1,15 +1,25 @@
-"""MCMC-phase barrier benchmark: rebuild oracle vs incremental engine.
+"""MCMC-phase benchmark: the sweep barrier and the serial pass.
 
-Two hot paths measured on the same state, same moves:
+Two hot paths, each timed against its reference on the same state:
 
 * **Sweep barrier** — reconciling the blockmodel with a sweep's moved
   set in a late-phase, low-acceptance regime (0.2% of vertices move):
   ``RebuildUpdater`` (O(E) recount) vs ``IncrementalUpdater``
   (O(Σ deg(moved)) scatter delta). Byte-equality of the resulting
   state is asserted every barrier.
-* **Serial pass** — neighbour-guided proposals with and without the
-  :class:`ProposalCache` (the O(C) row add + cumsum per proposal that
-  the cache memoizes between dirty-set invalidations).
+* **Serial pass** — one full serial Metropolis sweep (propose, accept,
+  apply) from the same state: the per-vertex loop it replaced
+  (``evaluate_vertex`` then ``apply_move``, kept here as the reference)
+  vs the windowed :func:`~repro.mcmc.metropolis.metropolis_sweep`.
+  Byte-equal state and acceptance counts are asserted. Every committed
+  move costs the window kernel one batch call, so its gain depends on
+  the acceptance rate, which each row reports. Two regimes per size:
+  ``planted`` is the truth partition of an 8-community planted DCSBM,
+  where few proposals are accepted (the regime the serial tier spends
+  its sweeps in); ``random-start`` is a random assignment over
+  C = V/100 blocks of a flat multigraph, where about half are accepted
+  and windows are slower than the loop. Only rows below
+  ``LOW_ACCEPT`` acceptance are gated.
 
 Sizes default to V in {1e3, 1e4, 1e5}; override with a comma-separated
 ``REPRO_MCMC_PHASE_SIZES`` or run ``python benchmarks/bench_mcmc_phase.py
@@ -24,11 +34,13 @@ import time
 import numpy as np
 
 from repro.bench.reporting import format_table
+from repro.generators import DCSBMParams, generate_dcsbm
 from repro.graph.graph import Graph
+from repro.mcmc.evaluate import evaluate_vertex
+from repro.mcmc.metropolis import metropolis_sweep
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.incremental import IncrementalUpdater, RebuildUpdater
-from repro.sbm.moves import propose_vertex_move
-from repro.utils.rng import philox_stream
+from repro.utils.rng import SweepRandomness
 
 DEFAULT_SIZES = [1_000, 10_000, 100_000]
 QUICK_SIZES = [1_000, 10_000]
@@ -37,8 +49,14 @@ MEAN_DEGREE = 8
 #: late-phase regime: fraction of vertices moved per sweep barrier
 MOVED_FRACTION = 0.002
 BARRIERS = 10
-#: serial-pass proposals are capped so the Python loop stays tractable
-MAX_PROPOSALS = 20_000
+#: serial-pass vertices are capped so the per-vertex loop stays tractable
+MAX_PROPOSALS = 4_000
+#: serial-pass inverse temperature (the SBPConfig default)
+BETA = 3.0
+#: communities of the planted serial regime
+PLANTED_COMMUNITIES = 8
+#: serial rows below this acceptance rate must show a window speedup
+LOW_ACCEPT = 0.10
 #: acceptance floor for the barrier at the largest benchmarked size
 MIN_BARRIER_SPEEDUP_LARGE = 5.0
 
@@ -95,54 +113,85 @@ def _bench_barrier(
     return reb_s, inc_s, moved_count
 
 
+def per_vertex_sweep(
+    bm: Blockmodel, graph: Graph, vertices: np.ndarray,
+    randomness: SweepRandomness, beta: float,
+) -> int:
+    """The per-vertex serial loop (the reference); returns accepted moves."""
+    accepted = 0
+    for i, v in enumerate(vertices):
+        v = int(v)
+        decision = evaluate_vertex(bm, graph, v, randomness.uniforms[i], beta)
+        if decision.is_move:
+            ctx = decision.context
+            bm.apply_move(
+                v, decision.target, ctx.t_out, ctx.c_out, ctx.t_in, ctx.c_in,
+                ctx.loops, ctx.deg_out, ctx.deg_in,
+            )
+            accepted += 1
+    return accepted
+
+
 def _bench_serial_pass(
-    graph: Graph, bm: Blockmodel, proposals: int
-) -> tuple[float, float]:
-    """Uncached vs cached proposal seconds over ``proposals`` vertices.
-
-    A frozen-state pass (no moves are applied) isolates the row
-    add + cumsum cost; identical proposals are asserted per vertex.
-    """
-    uniforms = philox_stream(SEED, 4242, 0).random((proposals, 5))
-    vertices = np.arange(proposals, dtype=np.int64) % graph.num_vertices
-    cache = IncrementalUpdater().make_proposal_cache(bm)
+    graph: Graph, bm: Blockmodel
+) -> tuple[int, int, float, float]:
+    """(proposals, accepted, loop_s, window_s) of one sweep from ``bm``."""
+    proposals = min(graph.num_vertices, MAX_PROPOSALS)
+    vertices = np.arange(proposals, dtype=np.int64)
+    rand = SweepRandomness.draw(SEED, 1, 0, proposals)
+    loop_bm = bm.copy()
+    window_bm = bm.copy()
 
     start = time.perf_counter()
-    plain = [
-        propose_vertex_move(bm, graph, int(v), uniforms[i])
-        for i, v in enumerate(vertices)
-    ]
-    uncached_s = time.perf_counter() - start
+    accepted = per_vertex_sweep(loop_bm, graph, vertices, rand, BETA)
+    loop_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    cached = [
-        propose_vertex_move(bm, graph, int(v), uniforms[i], cache=cache)
-        for i, v in enumerate(vertices)
-    ]
-    cached_s = time.perf_counter() - start
+    stats = metropolis_sweep(window_bm, graph, vertices, rand, BETA)
+    window_s = time.perf_counter() - start
 
-    assert plain == cached, "cached proposals diverge from the uncached scan"
-    return uncached_s, cached_s
+    assert stats.accepted == accepted, "window kernel accepted a different count"
+    assert np.array_equal(window_bm.B, loop_bm.B), "serial states diverge"
+    assert np.array_equal(window_bm.d_out, loop_bm.d_out)
+    assert np.array_equal(window_bm.d_in, loop_bm.d_in)
+    assert np.array_equal(window_bm.assignment, loop_bm.assignment)
+    return proposals, accepted, loop_s, window_s
+
+
+def _serial_states(
+    num_vertices: int, flat: Graph, rng: np.random.Generator
+) -> list[tuple[str, Graph, Blockmodel]]:
+    planted, truth = generate_dcsbm(
+        DCSBMParams(
+            num_vertices=num_vertices,
+            num_communities=PLANTED_COMMUNITIES,
+            within_between_ratio=10.0,
+            mean_degree=float(MEAN_DEGREE),
+        ),
+        seed=SEED,
+    )
+    num_blocks = max(8, num_vertices // 100)
+    return [
+        ("planted", planted, Blockmodel.from_assignment(planted, truth)),
+        ("random-start", flat, Blockmodel.from_assignment(
+            flat, rng.integers(0, num_blocks, num_vertices), num_blocks
+        )),
+    ]
 
 
 def mcmc_phase_rows(
     sizes: list[int] | None = None, barriers: int = BARRIERS
-) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
+) -> tuple[list[dict[str, object]], list[dict[str, object]]]:
+    """(barrier rows, serial rows) over ``sizes``."""
+    barrier_rows: list[dict[str, object]] = []
+    serial_rows: list[dict[str, object]] = []
     for num_vertices in sizes if sizes is not None else _sizes():
         rng = np.random.default_rng(SEED)
         graph = _random_multigraph(num_vertices, rng)
         num_blocks = max(8, num_vertices // 100)
 
         reb_s, inc_s, moved = _bench_barrier(graph, num_blocks, rng, barriers)
-
-        proposals = min(num_vertices, MAX_PROPOSALS)
-        bm = Blockmodel.from_assignment(
-            graph, rng.integers(0, num_blocks, num_vertices), num_blocks
-        )
-        uncached_s, cached_s = _bench_serial_pass(graph, bm, proposals)
-
-        rows.append(
+        barrier_rows.append(
             {
                 "V": num_vertices,
                 "E": graph.num_edges,
@@ -151,19 +200,35 @@ def mcmc_phase_rows(
                 "rebuild_s": reb_s,
                 "apply_s": inc_s,
                 "barrier_speedup": reb_s / inc_s if inc_s > 0 else float("inf"),
-                "uncached_s": uncached_s,
-                "cached_s": cached_s,
-                "serial_speedup": (
-                    uncached_s / cached_s if cached_s > 0 else float("inf")
-                ),
                 "bit_identical": True,
             }
         )
-    return rows
+
+        for regime, g, bm in _serial_states(num_vertices, graph, rng):
+            proposals, accepted, loop_s, window_s = _bench_serial_pass(g, bm)
+            serial_rows.append(
+                {
+                    "V": num_vertices,
+                    "E": g.num_edges,
+                    "C": bm.num_blocks,
+                    "regime": regime,
+                    "proposals": proposals,
+                    "accept_rate": accepted / proposals,
+                    "loop_s": loop_s,
+                    "window_s": window_s,
+                    "serial_speedup": (
+                        loop_s / window_s if window_s > 0 else float("inf")
+                    ),
+                    "bit_identical": True,
+                }
+            )
+    return barrier_rows, serial_rows
 
 
-def _check_rows(rows: list[dict[str, object]]) -> None:
-    largest = max(rows, key=lambda r: r["V"])
+def _check_rows(
+    barrier_rows: list[dict[str, object]], serial_rows: list[dict[str, object]]
+) -> None:
+    largest = max(barrier_rows, key=lambda r: r["V"])
     if largest["V"] >= 100_000:
         assert largest["barrier_speedup"] >= MIN_BARRIER_SPEEDUP_LARGE, (
             f"V={largest['V']}: barrier speedup "
@@ -172,20 +237,30 @@ def _check_rows(rows: list[dict[str, object]]) -> None:
         )
     else:  # smoke sizes: equality already asserted, just require a win
         assert largest["barrier_speedup"] > 1.0, largest
-    assert largest["serial_speedup"] > 1.0, largest
+    for row in serial_rows:
+        if row["accept_rate"] < LOW_ACCEPT:
+            assert row["serial_speedup"] > 1.0, row
+
+
+def _report(
+    barrier_rows: list[dict[str, object]], serial_rows: list[dict[str, object]]
+) -> str:
+    return format_table(
+        barrier_rows,
+        title="MCMC sweep barrier: rebuild oracle vs incremental delta-apply",
+    ) + "\n" + format_table(
+        serial_rows,
+        title="Serial Metropolis sweep: per-vertex loop vs windowed batch kernel",
+    )
 
 
 def test_mcmc_phase_speedup(benchmark):
     from benchmarks.conftest import run_once
     from repro.bench.reporting import write_report
 
-    rows = run_once(benchmark, mcmc_phase_rows)
-    report = format_table(
-        rows,
-        title="MCMC sweep barrier: rebuild oracle vs incremental delta-apply",
-    )
-    write_report("mcmc_phase", report)
-    _check_rows(rows)
+    barrier_rows, serial_rows = run_once(benchmark, mcmc_phase_rows)
+    write_report("mcmc_phase", _report(barrier_rows, serial_rows))
+    _check_rows(barrier_rows, serial_rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,11 +276,8 @@ def main(argv: list[str] | None = None) -> int:
         rows = mcmc_phase_rows(QUICK_SIZES, barriers=3)
     else:
         rows = mcmc_phase_rows()
-    print(format_table(
-        rows,
-        title="MCMC sweep barrier: rebuild oracle vs incremental delta-apply",
-    ))
-    _check_rows(rows)
+    print(_report(*rows))
+    _check_rows(*rows)
     return 0
 
 

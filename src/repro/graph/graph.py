@@ -199,18 +199,23 @@ def _build_incident_csr(
     in_ptr: IntArray,
     in_nbrs: IntArray,
 ) -> tuple[IntArray, IntArray]:
-    """Concatenate out- and in-adjacency into one CSR structure."""
+    """Concatenate out- and in-adjacency into one CSR structure.
+
+    Vertex ``v``'s slice holds its out-neighbours, then its in-neighbours:
+    out entry ``j`` lands at ``ptr[v] + j - out_ptr[v]`` and in entry
+    ``j`` at ``ptr[v] + out_deg[v] + j - in_ptr[v]``, so both lists
+    scatter in one pass each.
+    """
     num_vertices = out_ptr.shape[0] - 1
     out_counts = np.diff(out_ptr)
     in_counts = np.diff(in_ptr)
     ptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(out_counts + in_counts, out=ptr[1:])
     nbrs = np.empty(int(ptr[-1]), dtype=np.int64)
-    for v in range(num_vertices):
-        start = ptr[v]
-        mid = start + out_counts[v]
-        nbrs[start:mid] = out_nbrs[out_ptr[v] : out_ptr[v + 1]]
-        nbrs[mid : ptr[v + 1]] = in_nbrs[in_ptr[v] : in_ptr[v + 1]]
+    out_shift = np.repeat(ptr[:-1] - out_ptr[:-1], out_counts)
+    nbrs[np.arange(out_nbrs.shape[0]) + out_shift] = out_nbrs
+    in_shift = np.repeat(ptr[:-1] + out_counts - in_ptr[:-1], in_counts)
+    nbrs[np.arange(in_nbrs.shape[0]) + in_shift] = in_nbrs
     return ptr, nbrs
 
 

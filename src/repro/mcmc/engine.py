@@ -96,8 +96,10 @@ KIND_FROZEN = 2
 class SegmentMode(Enum):
     """How a segment's vertices are processed within a sweep."""
 
-    #: One-at-a-time Metropolis-Hastings; every accepted move updates the
-    #: blockmodel in place (Alg. 2 semantics — inherently sequential).
+    #: Metropolis-Hastings in serial order; every accepted move updates
+    #: the blockmodel in place before the next vertex is scored (Alg. 2
+    #: semantics), replayed exactly by in-process windows of the batch
+    #: kernel (:mod:`repro.mcmc.metropolis`).
     SERIAL_INPLACE = "serial"
     #: All vertices evaluated against the state frozen at batch start;
     #: accepted moves reconciled at a barrier (Alg. 3 semantics —
@@ -345,7 +347,8 @@ class SweepEngine:
         Chain parameters (seed, beta, max_sweeps, record_work, ...).
     backend:
         :class:`~repro.parallel.backend.ExecutionBackend` for frozen
-        evaluation stages.
+        evaluation stages. Serial segments ignore it: their windows
+        must see every commit, so they never leave the process.
     timers:
         :class:`~repro.utils.timer.StopwatchPool` accruing the ``mcmc``
         and ``rebuild`` buckets.
@@ -453,7 +456,7 @@ class SweepEngine:
             if segment.mode is SegmentMode.SERIAL_INPLACE:
                 serial = serial.merged_with(metropolis_sweep(
                     bm, graph, segment.vertices, rand, config.beta,
-                    record_work=config.record_work, updater=self.updater,
+                    record_work=config.record_work,
                 ))
             else:
                 frozen = frozen.merged_with(

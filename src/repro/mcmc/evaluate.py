@@ -48,19 +48,16 @@ def evaluate_vertex(
     v: int,
     uniforms: np.ndarray,
     beta: float,
-    cache=None,
 ) -> VertexDecision:
     """Propose and (virtually) accept/reject a move for vertex ``v``.
 
     Reads but never mutates ``bm``; callers decide whether/when to apply
     the move. ``uniforms`` is the 5-uniform row reserved for ``v`` this
-    sweep. ``cache`` is an optional
-    :class:`~repro.sbm.incremental.ProposalCache` of symmetrized-row
-    CDFs the proposal step may read instead of re-materializing the
-    dense row; the caller owns its invalidation.
+    sweep. This is the per-vertex oracle the batch kernel
+    (:class:`~repro.parallel.vectorized.VectorizedBackend`) must match.
     """
     ctx = vertex_move_context(bm, graph, v)
-    s = propose_vertex_move(bm, graph, v, uniforms, cache=cache)
+    s = propose_vertex_move(bm, graph, v, uniforms)
     if s == ctx.r:
         return VertexDecision(
             v=v, source=ctx.r, target=s, accepted=False, delta_s=0.0, context=ctx

@@ -21,6 +21,7 @@ from repro.metrics.alignment import (
     PartitionAlignment,
     align_partitions,
     PartitionStability,
+    consecutive_nmi,
     consecutive_stability,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "PartitionAlignment",
     "align_partitions",
     "PartitionStability",
+    "consecutive_nmi",
     "consecutive_stability",
     "CorrelationFit",
     "fit_correlation",

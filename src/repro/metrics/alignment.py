@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.metrics.nmi import contingency_table
+from repro.metrics.nmi import contingency_table, normalized_mutual_information
 from repro.types import Assignment, IntArray
 
 __all__ = [
     "PartitionAlignment",
     "align_partitions",
     "PartitionStability",
+    "consecutive_nmi",
     "consecutive_stability",
 ]
 
@@ -90,27 +91,38 @@ class PartitionStability:
     num_compared: int   #: vertices present in both snapshots
 
 
+def consecutive_nmi(previous: Assignment, current: Assignment) -> float:
+    """NMI of ``current`` against the previous snapshot's partition.
+
+    Streams only grow the vertex set, so the comparison runs over the
+    common prefix (the vertices both snapshots label); newborn vertices
+    are excluded — they have no previous label to be stable against.
+    An empty prefix counts as perfectly stable.
+    """
+    previous = np.asarray(previous, dtype=np.int64)
+    current = np.asarray(current, dtype=np.int64)
+    n = min(previous.shape[0], current.shape[0])
+    if n == 0:
+        return 1.0
+    return normalized_mutual_information(previous[:n], current[:n])
+
+
 def consecutive_stability(
     previous: Assignment, current: Assignment
 ) -> PartitionStability:
     """Stability of ``current`` against the previous snapshot's partition.
 
-    Streams only grow the vertex set, so the comparison runs over the
-    common prefix (the vertices both snapshots label); newborn vertices
-    are excluded — they have no previous label to be stable against.
+    Compares the common prefix, as :func:`consecutive_nmi` does, and adds
+    the Hungarian-aligned accuracy.
     """
-    from repro.metrics.nmi import normalized_mutual_information
-
     previous = np.asarray(previous, dtype=np.int64)
     current = np.asarray(current, dtype=np.int64)
     n = min(previous.shape[0], current.shape[0])
     if n == 0:
         return PartitionStability(nmi=1.0, accuracy=1.0, num_compared=0)
-    prev_common = previous[:n]
-    curr_common = current[:n]
-    aligned = align_partitions(prev_common, curr_common)
+    aligned = align_partitions(previous[:n], current[:n])
     return PartitionStability(
-        nmi=normalized_mutual_information(prev_common, curr_common),
+        nmi=consecutive_nmi(previous, current),
         accuracy=aligned.accuracy,
         num_compared=n,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["CorrelationFit", "fit_correlation"]
 
@@ -34,6 +33,10 @@ class CorrelationFit:
 
 def fit_correlation(x, y) -> CorrelationFit:
     """Least-squares linear fit of ``y`` on ``x`` with r^2 and p-value."""
+    # Imported here: scipy.stats costs about a second and 60 MiB, and
+    # nothing but the Fig. 3 analysis needs it.
+    from scipy import stats
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:

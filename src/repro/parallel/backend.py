@@ -165,9 +165,8 @@ class SweepUpdater(ABC):
     brought back in sync with the moved vertices. Implementations MUST
     leave ``bm`` in exactly the state a full recount would produce —
     counts are integers, so "exactly" means byte-equal ``B`` and degree
-    vectors, not approximately equal. The serial Metropolis path asks
-    the updater for an optional :class:`~repro.sbm.incremental.
-    ProposalCache` instead (no barrier — moves apply in place).
+    vectors, not approximately equal. The serial Metropolis path has no
+    barrier — its moves apply in place — so it never calls an updater.
     """
 
     name: str = "abstract"
@@ -186,10 +185,6 @@ class SweepUpdater(ABC):
         differs from their current one; the update covers ``B``, the
         degree vectors and the assignment.
         """
-
-    def make_proposal_cache(self, bm: Blockmodel):
-        """Per-sweep proposal-row cache for serial passes (None = uncached)."""
-        return None
 
 
 UPDATE_STRATEGIES: Registry[Callable[..., SweepUpdater]] = Registry(

@@ -27,7 +27,6 @@ from repro.sbm.delta import (
 )
 from repro.sbm.moves import propose_vertex_move, propose_block_merge, accept_probability
 from repro.sbm.incremental import (
-    ProposalCache,
     RebuildUpdater,
     IncrementalUpdater,
     apply_sweep_delta,
@@ -57,7 +56,6 @@ __all__ = [
     "propose_vertex_move",
     "propose_block_merge",
     "accept_probability",
-    "ProposalCache",
     "RebuildUpdater",
     "IncrementalUpdater",
     "apply_sweep_delta",

@@ -75,9 +75,8 @@ class Blockmodel:
         :meth:`compact` to drop them.
     delta_epoch:
         Monotonic counter bumped whenever the state is rewritten without
-        per-move notification (:meth:`apply_edge_delta`, :meth:`rebuild`);
-        caches keyed on matrix rows (``ProposalCache``) compare it to
-        drop stale entries.
+        a vertex move (:meth:`apply_edge_delta`, :meth:`rebuild`);
+        anything that memoizes matrix rows compares it to detect that.
     """
 
     __slots__ = (

@@ -3,28 +3,16 @@
 The paper's own profiling (§3.1, Fig. 2) identifies the per-sweep
 blockmodel reconstruction as the A-SBP/H-SBP synchronization barrier:
 ``Blockmodel.rebuild`` recounts every edge, O(E), even late in a phase
-when only a handful of vertices actually moved. This module replaces
-that recount with two delta-based mechanisms, both **bit-identical** to
-the full recount (all counts are int64, so scatter-subtract/add is exact
-arithmetic, not an approximation):
-
-* :func:`apply_sweep_delta` — given the moved-vertex set of a sweep,
-  update ``B``/``d_out``/``d_in``/``d`` by subtracting the moved
-  vertices' incident edges under the old assignment and adding them
-  under the new one: O(Σ deg(moved)) instead of O(E). Self-loops and
-  edges between two moved vertices are handled by snapshotting every
-  touched edge's old endpoints *before* the assignment mutates, so each
-  directed edge is counted exactly once on each side of the barrier.
-* :class:`ProposalCache` — the serial Metropolis path (Alg. 2 and the
-  V* pass of Alg. 4) re-materializes the dense symmetrized row
-  ``B[u, :] + B[:, u]`` and its prefix-sum CDF for every single
-  proposal, O(C) per vertex. The cache keeps the CDFs per block and
-  invalidates only the blocks an accepted move actually dirtied (the
-  O(degree) set ``{r, s} ∪ t_out ∪ t_in``), so repeated proposals
-  against unchanged blocks skip the add + cumsum entirely. Cached CDFs
-  are the same int64 arrays the uncached path would build, so every
-  draw consumes the identical uniforms and lands on the identical
-  block.
+when only a handful of vertices actually moved. :func:`apply_sweep_delta`
+replaces that recount, **bit-identically** (all counts are int64, so
+scatter-subtract/add is exact arithmetic, not an approximation): given
+the moved-vertex set of a sweep, it updates ``B``/``d_out``/``d_in``/``d``
+by subtracting the moved vertices' incident edges under the old
+assignment and adding them under the new one, O(Σ deg(moved)) instead of
+O(E). Self-loops and edges between two moved vertices are handled by
+snapshotting every touched edge's old endpoints *before* the assignment
+mutates, so each directed edge is counted exactly once on each side of
+the barrier. :func:`apply_edge_delta` is the streaming analogue.
 
 Both engines are dispatched through the
 :func:`~repro.parallel.backend.get_update_strategy` registry (mirroring
@@ -43,7 +31,6 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.parallel.backend import SweepUpdater, register_update_strategy
 from repro.sbm import kernels as _K
-from repro.sbm.block_storage import RowCDF
 from repro.sbm.blockmodel import Blockmodel
 from repro.types import IntArray
 from repro.utils.arrays import expand_ranges
@@ -52,7 +39,6 @@ from repro.utils.timer import StopwatchPool
 __all__ = [
     "apply_sweep_delta",
     "apply_edge_delta",
-    "ProposalCache",
     "RebuildUpdater",
     "IncrementalUpdater",
 ]
@@ -151,8 +137,7 @@ def apply_edge_delta(bm: Blockmodel, batch) -> None:
     already present in ``bm.assignment`` (extend the assignment and
     use :meth:`Blockmodel.from_assignment` for growth snapshots).
 
-    Bumps ``bm.delta_epoch`` so degree/CDF caches holding pre-delta
-    rows (:class:`ProposalCache`) know to drop them.
+    Bumps ``bm.delta_epoch``: the state was rewritten without a move.
     """
     batch = batch.normalized()
     assignment = bm.assignment
@@ -181,67 +166,6 @@ def apply_edge_delta(bm: Blockmodel, batch) -> None:
     _K.index_add(bm.d, add_src, ones_add)
     _K.index_add(bm.d, add_dst, ones_add)
     bm.delta_epoch += 1
-
-
-class ProposalCache:
-    """Per-sweep cache of symmetrized proposal-row CDF views.
-
-    ``row_cdf(u)`` returns the storage engine's
-    :class:`~repro.sbm.block_storage.RowCDF` over ``B[u, :] + B[:, u]``
-    — the exact view the uncached multinomial draw builds — computing it
-    at most once per block between invalidations. An accepted move r → s
-    dirties precisely the blocks whose symmetrized row contains a
-    changed cell: ``{r, s}`` (their full row/column changed) plus the
-    mover's neighbour blocks ``t_out ∪ t_in`` (cells ``(r|s, t)`` and
-    ``(t, r|s)`` changed); :meth:`invalidate_move` drops those entries
-    in O(degree).
-    """
-
-    __slots__ = ("_bm", "_cdfs", "_epoch", "hits", "misses")
-
-    def __init__(self, bm: Blockmodel) -> None:
-        self._bm = bm
-        self._epoch = bm.delta_epoch
-        self._cdfs: dict[int, RowCDF] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def row_cdf(self, u: int) -> RowCDF:
-        if self._bm.delta_epoch != self._epoch:
-            # An edge delta (or rebuild) rewrote cells without a move
-            # notification; every cached row may be stale.
-            self._cdfs.clear()
-            self._epoch = self._bm.delta_epoch
-        cdf = self._cdfs.get(u)
-        if cdf is None:
-            self.misses += 1
-            cdf = self._bm.state.sym_row_cdf(u)
-            self._cdfs[u] = cdf
-        else:
-            self.hits += 1
-        return cdf
-
-    def invalidate_blocks(self, blocks) -> None:
-        """Drop the cached CDFs of an iterable of block ids."""
-        pop = self._cdfs.pop
-        for b in blocks:
-            pop(int(b), None)
-
-    def invalidate_move(self, r: int, s: int, t_out: IntArray, t_in: IntArray) -> None:
-        """Dirty-set invalidation for an applied move r → s."""
-        pop = self._cdfs.pop
-        pop(int(r), None)
-        pop(int(s), None)
-        for b in t_out:
-            pop(int(b), None)
-        for b in t_in:
-            pop(int(b), None)
-
-    def clear(self) -> None:
-        self._cdfs.clear()
-
-    def __len__(self) -> int:
-        return len(self._cdfs)
 
 
 class _TimedUpdater(SweepUpdater):
@@ -327,9 +251,6 @@ class IncrementalUpdater(_TimedUpdater):
     @property
     def heals(self) -> int:
         return self._auditor.heals
-
-    def make_proposal_cache(self, bm: Blockmodel) -> ProposalCache:
-        return ProposalCache(bm)
 
     def apply_sweep(
         self,

@@ -38,20 +38,13 @@ MAX_EXPONENT = 700.0
 
 
 def propose_vertex_move(
-    bm: Blockmodel, graph: Graph, v: int, uniforms: np.ndarray, cache=None
+    bm: Blockmodel, graph: Graph, v: int, uniforms: np.ndarray
 ) -> int:
     """Propose a block for vertex ``v``; may return its current block.
 
     ``uniforms`` is one row of a :class:`~repro.utils.rng.SweepRandomness`
     table (5 uniforms: edge pick, mixture, multinomial, uniform block,
     accept — the last is consumed by the caller).
-
-    ``cache``, when given, is a
-    :class:`~repro.sbm.incremental.ProposalCache` serving memoized
-    symmetrized-row CDFs; it must be kept in sync with ``bm`` by the
-    caller (dirty-set invalidation after every applied move). Cached CDFs
-    are the exact arrays the uncached path builds, so the proposal is
-    bit-identical either way.
 
     All index draws are floor-and-clamp (``min(int(u * n), n - 1)``):
     identical to the plain ``int(u * n)`` floor for ``u ∈ [0, 1)`` and
@@ -69,8 +62,6 @@ def propose_vertex_move(
     if uniforms[1] < C / (d_u + C):
         return min(int(uniforms[3] * C), C - 1)
     fallback = min(int(uniforms[3] * C), C - 1)
-    if cache is not None:
-        return cache.row_cdf(u).draw(uniforms[2], fallback)
     return bm.state.sym_row_cdf(u).draw(uniforms[2], fallback)
 
 

@@ -19,7 +19,7 @@ snapshot:
 
 Every snapshot's result carries the v7 streaming fields (``refit_mode``,
 ``drift``, ``nmi_prev`` — consecutive-snapshot stability via
-:func:`~repro.metrics.alignment.consecutive_stability`).
+:func:`~repro.metrics.alignment.consecutive_nmi`).
 
 Resilience composes with the existing checkpoint layer: each completed
 snapshot persists under its index (``RunCheckpointer.save_completed``
@@ -41,7 +41,7 @@ from repro.core.fit_session import FitSession
 from repro.core.results import SBPResult
 from repro.core.variants import SBPConfig
 from repro.graph.stream import EdgeBatch, apply_edge_batch
-from repro.metrics.alignment import consecutive_stability
+from repro.metrics.alignment import consecutive_nmi
 from repro.resilience.checkpoint import RunCheckpointer, config_digest
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.entropy import normalized_description_length
@@ -263,7 +263,7 @@ class StreamSession:
                 else:
                     result = session.warm_refit(carried)
                 nmi_prev = (
-                    consecutive_stability(prev.assignment, result.assignment).nmi
+                    consecutive_nmi(prev.assignment, result.assignment)
                     if prev is not None
                     else -1.0
                 )

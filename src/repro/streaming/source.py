@@ -121,9 +121,10 @@ def synthetic_churn_stream(
     )
     graph, truth = generate_dcsbm(params, seed=seed)
     p_within = within_between_ratio / (within_between_ratio + 1.0)
-    members = [
-        np.flatnonzero(truth == c) for c in range(num_communities)
-    ]
+    # Community c's members, ascending, are members[offsets[c]:][:sizes[c]].
+    members = np.argsort(truth, kind="stable")
+    sizes = np.bincount(truth, minlength=num_communities)
+    offsets = np.cumsum(sizes) - sizes
     edges = graph.edges.copy()
     batches: list[EdgeBatch] = []
     for snap in range(1, num_snapshots):
@@ -132,14 +133,12 @@ def synthetic_churn_stream(
         removed_idx = rng.choice(edges.shape[0], size=k, replace=False)
         removed = edges[removed_idx]
         src = rng.integers(0, num_vertices, size=k)
-        dst = np.empty(k, dtype=np.int64)
         within = rng.random(k) < p_within
-        for i in range(k):
-            community = members[int(truth[src[i]])]
-            if within[i] and community.shape[0] > 0:
-                dst[i] = community[rng.integers(0, community.shape[0])]
-            else:
-                dst[i] = rng.integers(0, num_vertices)
+        # One bounded draw per edge, in edge order: the same Philox
+        # consumption as one scalar ``integers`` call per edge.
+        community = truth[src]
+        dst = rng.integers(0, np.where(within, sizes[community], num_vertices))
+        dst[within] = members[offsets[community[within]] + dst[within]]
         added = np.stack([src, dst], axis=1).astype(np.int64)
         batches.append(EdgeBatch(add=added, remove=removed))
         keep = np.ones(edges.shape[0], dtype=bool)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Graph
 from repro.errors import GraphValidationError
@@ -101,6 +103,28 @@ class TestAdjacencyViews:
                 graph.edges[graph.edges[:, 1] == v][:, 0].tolist()
             )
             assert sorted(graph.in_neighbors(v).tolist()) == expected_in
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_vertices=st.integers(1, 40),
+        edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120),
+        loops=st.integers(0, 5),
+    )
+    def test_incident_csr_is_out_then_in_per_vertex(self, num_vertices, edges, loops):
+        """The incident list of every vertex, defined one vertex at a time."""
+        pairs = [(u % num_vertices, w % num_vertices) for u, w in edges]
+        pairs += [(v % num_vertices, v % num_vertices) for v in range(loops)]
+        g = Graph(num_vertices, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        expected = [
+            np.concatenate([g.out_neighbors(v), g.in_neighbors(v)])
+            for v in range(num_vertices)
+        ]
+        ptr = np.concatenate([[0], np.cumsum([len(e) for e in expected])])
+        np.testing.assert_array_equal(g.inc_ptr, ptr)
+        np.testing.assert_array_equal(
+            g.inc_nbrs, np.concatenate(expected) if pairs else np.empty(0)
+        )
+        assert g.inc_nbrs.dtype == np.int64
 
 
 class TestDerivedGraphs:

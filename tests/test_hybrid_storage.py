@@ -4,8 +4,7 @@ The equivalence matrices (``test_block_storage.py``,
 ``test_storage_equivalence.py``) prove the hybrid engine replays dense
 chains end-to-end; this module attacks the machinery those matrices can
 miss by luck — evictions racing journaled writes, deferred audits,
-memory accounting, :class:`ProposalCache` invalidation and the ``auto``
-storage policy.
+memory accounting and the ``auto`` storage policy.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from repro.sbm.block_storage import (
     SparseBlockState,
     resolve_block_storage,
 )
-from repro.sbm.blockmodel import Blockmodel
-from repro.sbm.incremental import ProposalCache
 
 
 def _ref_matrix(C: int = 8, seed: int = 3) -> np.ndarray:
@@ -237,55 +234,6 @@ class TestMemoryAccounting:
             state.dense_col(r)
         assert len(state._row_lru) == 3
         assert len(state._col_lru) == 3
-
-
-class TestProposalCacheRowGranular:
-    def _blockmodel(self, graph, storage):
-        rng = np.random.default_rng(8)
-        assignment = rng.integers(0, 6, graph.num_vertices)
-        return Blockmodel.from_assignment(graph, assignment, 6, storage=storage)
-
-    def test_untouched_rows_survive_a_move(self, planted_graph):
-        """A move rebuilds only the rows it wrote, on every engine.
-
-        ``invalidate_move`` drops the ``{r, s} ∪ t_out ∪ t_in`` entries;
-        every other block must keep its *object-identical* CDF, and the
-        touched ones must be rebuilt to the post-move values.
-        """
-        graph, _ = planted_graph
-        t_out = np.asarray([2], dtype=np.int64)
-        t_in = np.asarray([3], dtype=np.int64)
-        ones = np.asarray([1], dtype=np.int64)
-        touched = {0, 1, 2, 3}
-        for storage in ("dense", "sparse", "hybrid"):
-            bm = self._blockmodel(graph, storage)
-            cache = ProposalCache(bm)
-            before = {u: cache.row_cdf(u) for u in range(bm.num_blocks)}
-            bm.state.apply_move(0, 1, t_out, ones, t_in, ones, 0)
-            cache.invalidate_move(0, 1, t_out, t_in)
-            for u in range(bm.num_blocks):
-                after = cache.row_cdf(u)
-                if u in touched:
-                    assert after is not before[u], (
-                        f"{storage}: block {u} served stale CDF"
-                    )
-                    assert_array_equal(after.cdf, bm.state.sym_row_cdf(u).cdf)
-                else:
-                    assert after is before[u], (
-                        f"{storage}: block {u} rebuilt needlessly"
-                    )
-
-    def test_eager_protocol_unchanged_for_dense(self, planted_graph):
-        graph, _ = planted_graph
-        bm = self._blockmodel(graph, "dense")
-        cache = ProposalCache(bm)
-        cache.row_cdf(0)
-        cache.row_cdf(4)
-        cache.invalidate_move(
-            0, 1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert 0 not in cache._cdfs
-        assert 4 in cache._cdfs
 
 
 class TestAutoPolicy:

@@ -8,7 +8,6 @@ Covers ISSUE 9's acceptance surface:
 * ``apply_edge_delta`` vs the full ``from_assignment`` recount —
   bit-identical on all three storage engines against adversarial batches
   (self-loops, duplicate edges, removals to degree 0, block emptying).
-* ``ProposalCache`` epoch invalidation after an edge delta.
 * ``FitSession``: ``cold_fit`` ≡ ``run_sbp``, warm-refit bracket floor,
   ``partition_result`` packaging.
 * ``StreamSession``: warm/cold accounting, drift-triggered cold fits,
@@ -35,7 +34,7 @@ from repro.io.serialize import load_stream_result, save_stream_result
 from repro.metrics.alignment import consecutive_stability
 from repro.resilience import RunCheckpointer
 from repro.sbm.entropy import normalized_description_length
-from repro.sbm.incremental import ProposalCache, apply_edge_delta
+from repro.sbm.incremental import apply_edge_delta
 from repro.streaming import (
     EdgeStream,
     StreamSession,
@@ -265,47 +264,6 @@ class TestEdgeDelta:
             tiny_graph, EdgeBatch(add=[[0, 4]], remove=[[3, 4]])
         )
         bm.check_consistency(new_graph)
-
-    def test_proposal_cache_invalidated_by_delta(self, tiny_graph, storage):
-        """A cached CDF must not survive an edge delta stale."""
-        bm = Blockmodel.from_assignment(
-            tiny_graph, _THREE_BLOCKS, 3, storage=storage
-        )
-        cache = ProposalCache(bm)
-        before = {
-            u: cache.row_cdf(u).cdf.copy() for u in range(bm.num_blocks)
-        }
-        # Shift weight between blocks 0 and 1 without moving any vertex.
-        batch = EdgeBatch(add=[[0, 4], [4, 0], [0, 4]], remove=[[3, 4]])
-        apply_edge_delta(bm, batch)
-        changed = False
-        for u in range(bm.num_blocks):
-            got = cache.row_cdf(u)
-            fresh = bm.state.sym_row_cdf(u)
-            np.testing.assert_array_equal(got.cdf, fresh.cdf)
-            if got.cols is None or fresh.cols is None:
-                assert got.cols is None and fresh.cols is None
-            else:
-                np.testing.assert_array_equal(got.cols, fresh.cols)
-            if (
-                got.cdf.shape != before[u].shape
-                or not np.array_equal(got.cdf, before[u])
-            ):
-                changed = True
-        assert changed, "batch was supposed to dirty at least one row"
-
-    def test_proposal_cache_invalidated_by_rebuild(self, tiny_graph, storage):
-        bm = Blockmodel.from_assignment(
-            tiny_graph, _THREE_BLOCKS, 3, storage=storage
-        )
-        cache = ProposalCache(bm)
-        for u in range(bm.num_blocks):
-            cache.row_cdf(u)
-        # Rebuild under a relabelled assignment (block ids stay 0..2).
-        bm.rebuild(tiny_graph, np.roll(_THREE_BLOCKS, 1))
-        for u in range(bm.num_blocks):
-            fresh = bm.state.sym_row_cdf(u)
-            np.testing.assert_array_equal(cache.row_cdf(u).cdf, fresh.cdf)
 
 
 # ---------------------------------------------------------------------------

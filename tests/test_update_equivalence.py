@@ -6,8 +6,6 @@ The load-bearing properties:
   to a full O(E) recount for any moved set — including self-loops,
   parallel edges, edges between two moved vertices, and moves that
   empty a block;
-* the serial :class:`ProposalCache` serves the exact CDFs the uncached
-  path builds, across dirty-set invalidations;
 * full runs under ``update_strategy='incremental'`` reproduce the
   ``'rebuild'`` oracle bit-identically: MDL trajectories, per-sweep
   acceptance counts, and final assignments, for every variant;
@@ -24,7 +22,6 @@ import pytest
 from repro import Blockmodel, Graph, SBPConfig, run_sbp
 from repro.errors import BackendError, CheckpointError, ConvergenceError
 from repro.mcmc.async_gibbs import async_gibbs_sweep
-from repro.mcmc.metropolis import metropolis_sweep
 from repro.parallel.backend import (
     available_update_strategies,
     get_update_strategy,
@@ -34,7 +31,6 @@ from repro.resilience import RunCheckpointer
 from repro.resilience.checkpoint import config_digest
 from repro.sbm.incremental import (
     IncrementalUpdater,
-    ProposalCache,
     RebuildUpdater,
     apply_sweep_delta,
 )
@@ -160,61 +156,6 @@ class TestApplySweepDelta:
                 bm, tiny_graph,
                 np.array([1, 2], dtype=np.int64), np.array([0], dtype=np.int64),
             )
-
-
-# ----------------------------------------------------------------------
-# ProposalCache
-# ----------------------------------------------------------------------
-class TestProposalCache:
-    def test_serves_exact_cdfs_across_invalidations(self, random_blockmodel):
-        graph, bm = random_blockmodel
-        cache = ProposalCache(bm)
-        rng = np.random.default_rng(3)
-        vertices = rng.permutation(graph.num_vertices)[:60]
-        rand = SweepRandomness.draw(7, 1, 0, graph.num_vertices)
-        for i, v in enumerate(vertices):
-            cached = propose_vertex_move(
-                bm, graph, int(v), rand.uniforms[i], cache=cache
-            )
-            uncached = propose_vertex_move(bm, graph, int(v), rand.uniforms[i])
-            assert cached == uncached
-        assert cache.hits + cache.misses > 0
-
-    def test_metropolis_with_cache_matches_uncached(self, medium_graph):
-        graph, _ = medium_graph
-        rng = np.random.default_rng(11)
-        assignment = rng.integers(0, 8, graph.num_vertices)
-        cached_bm = Blockmodel.from_assignment(graph, assignment, 8)
-        plain_bm = cached_bm.copy()
-        vertices = np.arange(graph.num_vertices, dtype=np.int64)
-        for sweep in range(3):
-            rand = SweepRandomness.draw(21, 1, sweep, graph.num_vertices)
-            stats_cached = metropolis_sweep(
-                cached_bm, graph, vertices, rand, beta=3.0,
-                updater=IncrementalUpdater(),
-            )
-            stats_plain = metropolis_sweep(
-                plain_bm, graph, vertices, rand, beta=3.0
-            )
-            assert stats_cached.accepted == stats_plain.accepted
-            _assert_same_state(cached_bm, plain_bm)
-        cached_bm.check_consistency(graph)
-
-    def test_cache_hit_rate_is_nontrivial(self, medium_graph):
-        """Low-acceptance sweeps should mostly hit the cache."""
-        graph, _ = medium_graph
-        rng = np.random.default_rng(1)
-        bm = Blockmodel.from_assignment(
-            graph, rng.integers(0, 6, graph.num_vertices), 6
-        )
-        updater = IncrementalUpdater()
-        cache = updater.make_proposal_cache(bm)
-        vertices = np.arange(graph.num_vertices, dtype=np.int64)
-        rand = SweepRandomness.draw(5, 1, 0, graph.num_vertices)
-        for i, v in enumerate(vertices):
-            propose_vertex_move(bm, graph, int(v), rand.uniforms[i], cache=cache)
-        # 6 blocks serve 150 vertices: ≥90% of row lookups must be hits.
-        assert cache.hits > 9 * cache.misses
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +306,6 @@ class TestDispatch:
     def test_config_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="update_strategy"):
             SBPConfig(update_strategy="magic")
-
-    def test_rebuild_updater_provides_no_cache(self, tiny_graph):
-        bm = Blockmodel.singleton(tiny_graph)
-        assert RebuildUpdater().make_proposal_cache(bm) is None
-        assert isinstance(
-            IncrementalUpdater().make_proposal_cache(bm), ProposalCache
-        )
 
 
 # ----------------------------------------------------------------------
