@@ -24,17 +24,31 @@ discussed in DESIGN.md §5.
 Run ``python benchmarks/bench_storage_crossover.py`` (full: C up to
 8192, enforces the PR-6 acceptance bounds) or ``--quick`` (CI smoke:
 C up to 1024, fewer repetitions, no bounds).
+
+``--whole-fit`` measures whole A-SBP ``run_sbp`` fits of planted DCSBMs
+instead: V=2100 on dense, hybrid and auto, V=10,000 on hybrid and auto
+(``--quick``: the V=2100 hybrid and auto rows only). ``auto`` starts
+on hybrid at both sizes and runs dense once C <= 2048. Each fit runs in
+a fresh process so its peak RSS is its own; the rows record seconds,
+the ``barrier_apply`` bucket and peak RSS, and the harness asserts that
+every engine of a size returns the same assignment and MDL.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
 
 from repro.bench.reporting import format_table, write_report
+from repro.core.sbp import run_sbp
+from repro.core.variants import SBPConfig
+from repro.generators import DCSBMParams, generate_dcsbm
 from repro.graph.graph import Graph
 from repro.sbm import kernels
 from repro.sbm.block_storage import (
@@ -196,6 +210,74 @@ def render(rows: list[dict]) -> str:
     )
 
 
+#: (V, engines) of the whole-fit rows.
+WHOLE_FIT_CASES = [(2100, ("dense", "hybrid", "auto")), (10_000, ("hybrid", "auto"))]
+QUICK_WHOLE_FIT_CASES = [(2100, ("hybrid", "auto"))]
+WHOLE_FIT_GRAPH_SEED = 3
+WHOLE_FIT_CHAIN_SEED = 7
+
+
+def _whole_fit(num_vertices: int, storage: str) -> dict:
+    """One A-SBP fit; run in a fresh process so peak RSS is this fit's."""
+    graph, _ = generate_dcsbm(
+        DCSBMParams(
+            num_vertices=num_vertices, num_communities=8,
+            within_between_ratio=10.0, mean_degree=10.0,
+        ),
+        seed=WHOLE_FIT_GRAPH_SEED,
+    )
+    config = SBPConfig(
+        variant="a-sbp", seed=WHOLE_FIT_CHAIN_SEED, block_storage=storage
+    )
+    start = time.perf_counter()
+    result = run_sbp(graph, config)
+    seconds = time.perf_counter() - start
+    return {
+        "V": num_vertices,
+        "E": graph.num_edges,
+        "storage": storage,
+        "start_engine": result.block_storage,
+        "seconds": round(seconds, 3),
+        "barrier_apply_s": round(result.timings.barrier_apply, 3),
+        "peak_rss_mib": round(result.timings.peak_rss_bytes / 2**20, 1),
+        "num_blocks": result.num_blocks,
+        "mdl": result.mdl,
+        "assignment_sha256": hashlib.sha256(
+            result.assignment.astype("<i8").tobytes()
+        ).hexdigest()[:16],
+    }
+
+
+def whole_fit_rows(cases: list[tuple[int, tuple[str, ...]]]) -> list[dict]:
+    rows = []
+    spawn = multiprocessing.get_context("spawn")
+    for num_vertices, engines in cases:
+        first = None
+        for storage in engines:
+            with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                row = pool.submit(_whole_fit, num_vertices, storage).result()
+            print(json.dumps(row), flush=True)
+            first = first or row
+            assert (row["assignment_sha256"], row["mdl"]) == (
+                first["assignment_sha256"], first["mdl"]
+            ), f"V={num_vertices}: {storage} diverges from {first['storage']}"
+            rows.append(row)
+    return rows
+
+
+def render_whole_fit(rows: list[dict]) -> str:
+    return format_table(
+        [
+            {key: r[key] for key in (
+                "V", "storage", "start_engine", "seconds", "barrier_apply_s",
+                "peak_rss_mib", "num_blocks",
+            )}
+            for r in rows
+        ],
+        title="whole A-SBP fits: auto storage follows C (identical bytes)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
@@ -204,7 +286,16 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="CI smoke: C up to 1024, single repetition",
     )
+    parser.add_argument(
+        "--whole-fit", action="store_true",
+        help="time whole A-SBP fits per engine instead of single operations",
+    )
     args = parser.parse_args(argv)
+    if args.whole_fit:
+        rows = whole_fit_rows(QUICK_WHOLE_FIT_CASES if args.quick else WHOLE_FIT_CASES)
+        write_report("storage_whole_fit", render_whole_fit(rows))
+        print(json.dumps(rows, indent=2))
+        return 0
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     reps = 1 if args.quick else 3
     rows = crossover_rows(sizes, reps)

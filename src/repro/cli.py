@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "per-row sparse arrays, or the hybrid cached "
                              "engine (bit-identical results; memory/time "
                              "trade-off); 'auto' (the default) picks "
-                             "dense/hybrid from the graph size and memory "
-                             "budget")
+                             "dense/hybrid from the current block count, "
+                             "density and memory budget, again after every "
+                             "merge")
     detect.add_argument("--sample-rate", type=float, default=1.0,
                         metavar="RATE",
                         help="SamBaS front-end: fit on a ceil(RATE*V)-vertex "
@@ -217,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=VARIANTS.names())
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument("--block-storage", default="auto",
-                        choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE])
+                        choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE],
+                        help="inter-block matrix engine (bit-identical "
+                             "results); 'auto' (the default) picks "
+                             "dense/hybrid from the current block count, so "
+                             "carried states of a large graph run dense")
     stream.add_argument("--drift-policy", default="mdl-ratio",
                         choices=DRIFT_POLICIES.names(),
                         help="warm-vs-cold rule per snapshot (see "
@@ -619,7 +624,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
         if registry is BLOCK_STORAGES:
             entries[AUTO_STORAGE] = (
                 "Policy, not an engine: picks dense/hybrid from "
-                "(C, density, memory budget) at run start."
+                "(C, density, memory budget) for every state a fit builds."
             )
         print(f"\n{title}: {len(entries)} registered")
         width = max([8, *map(len, entries)])

@@ -57,21 +57,21 @@ _log = get_logger("core.fit_session")
 
 
 def resolve_storage_policy(graph: Graph, config: SBPConfig) -> SBPConfig:
-    """Resolve ``block_storage="auto"`` to a concrete engine for ``graph``.
+    """Resolve ``block_storage="auto"`` for ``graph`` at its start, C = V.
 
     Must run before any :func:`config_digest` evaluation: the digest
     then records the *decision* (a pure function of V, E and the budget
     env), so checkpoints written under ``auto`` resume interchangeably
     with the equivalent explicit config and refuse a genuinely different
-    engine.
+    engine. The fit itself keeps the unresolved name and resolves it
+    again at every state it builds.
     """
-    resolved, reason = resolve_block_storage(
+    resolved, _ = resolve_block_storage(
         config.block_storage, graph.num_vertices, graph.num_edges
     )
-    if resolved != config.block_storage:
-        _log.info("block_storage=auto -> %r (%s)", resolved, reason)
-        config = config.replace(block_storage=resolved)
-    return config
+    if resolved == config.block_storage:
+        return config
+    return config.replace(block_storage=resolved)
 
 
 class FitSession:
@@ -82,9 +82,13 @@ class FitSession:
     graph:
         The graph every fit of this session runs against.
     config:
-        Run configuration. An ``auto`` storage policy is resolved here,
-        once, so every fit (and every checkpoint digest) of the session
-        sees the same concrete engine.
+        Run configuration. Its storage name is kept as given in
+        :attr:`storage` and every state a fit builds (the singleton,
+        each merge output, the warm start) resolves it at that state's
+        block count, so an ``auto`` fit moves from ``hybrid`` to
+        ``dense`` once C is small. :attr:`config` is the copy resolved
+        at C = V: the checkpoint digest and ``SBPResult.block_storage``
+        read it.
     checkpointer:
         Optional :class:`RunCheckpointer`; fits snapshot their
         outer-loop state after every agglomerative iteration and resume
@@ -100,7 +104,13 @@ class FitSession:
         if config is None:
             config = SBPConfig()
         self.graph = graph
+        self.storage = config.block_storage
         self.config = resolve_storage_policy(graph, config)
+        if self.config.block_storage != self.storage:
+            _log.info(
+                "block_storage=%s -> %r at C=%d", self.storage,
+                self.config.block_storage, graph.num_vertices,
+            )
         self.checkpointer = checkpointer
 
     # ------------------------------------------------------------------
@@ -255,9 +265,9 @@ class FitSession:
         else:
             with timers.section("other"):
                 bm = (
-                    warm_start.copy()
+                    self._warm_copy(warm_start)
                     if warm_start is not None
-                    else Blockmodel.singleton(graph, storage=config.block_storage)
+                    else Blockmodel.singleton(graph, storage=self.storage)
                 )
                 mdl = bm.mdl(graph)
             outer = 0
@@ -316,8 +326,9 @@ class FitSession:
                     with timers.section("block_merge"):
                         bm = block_merge_phase(
                             step.start, graph, step.num_merges, config, outer,
-                            timers=timers,
+                            timers=timers, storage=self.storage,
                         )
+                    self._log_switch(step.start, bm)
                     if config.validate:
                         bm.check_consistency(graph)
                     threshold = (
@@ -386,6 +397,27 @@ class FitSession:
             sweep_stats=all_stats if config.record_work else [],
             search_history=search_history,
         )
+
+    def _warm_copy(self, warm: Blockmodel) -> Blockmodel:
+        """``warm`` on the engine the session's storage picks at its C:
+        a copy when it already sits there, a rebuild otherwise."""
+        engine, _ = resolve_block_storage(
+            self.storage, warm.num_blocks, self.graph.num_edges
+        )
+        if warm.storage_name == engine:
+            return warm.copy()
+        bm = Blockmodel.from_assignment(
+            self.graph, warm.assignment, warm.num_blocks, storage=engine
+        )
+        self._log_switch(warm, bm)
+        return bm
+
+    def _log_switch(self, before: Blockmodel, after: Blockmodel) -> None:
+        if after.storage_name != before.storage_name:
+            _log.info(
+                "block_storage=%s: %r -> %r at C=%d", self.storage,
+                before.storage_name, after.storage_name, after.num_blocks,
+            )
 
     @staticmethod
     def _snapshot(

@@ -36,6 +36,7 @@ def block_merge_phase(
     config: SBPConfig,
     iteration: int,
     timers: StopwatchPool | None = None,
+    storage: str | None = None,
 ) -> Blockmodel:
     """Return a new compacted blockmodel with ``num_merges`` fewer blocks.
 
@@ -44,7 +45,9 @@ def block_merge_phase(
     layout is identical for every merge backend. When ``timers`` is
     given, the parallelizable candidate scan and the sequential apply
     step are accrued separately (``merge_scan`` / ``merge_apply``) for
-    Fig.-2-style breakdowns.
+    Fig.-2-style breakdowns. The output is built on ``storage``
+    (default ``config.block_storage``); ``auto`` resolves at the
+    output's block count.
     """
     C = bm.num_blocks
     num_merges = min(num_merges, C - 1)
@@ -91,6 +94,6 @@ def block_merge_phase(
         # Relabel densely; from_assignment rebuilds B in one vectorized pass.
         _, dense = np.unique(merged_assignment, return_inverse=True)
         out = Blockmodel.from_assignment(
-            graph, dense.astype(np.int64), storage=type(bm.state)
+            graph, dense.astype(np.int64), storage=storage or config.block_storage
         )
     return out

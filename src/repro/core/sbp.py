@@ -90,7 +90,6 @@ def run_sbp(
     """
     if config is None:
         config = SBPConfig()
-    config = resolve_storage_policy(graph, config)
     if config.sample_rate < 1.0:
         # Imported lazily: the pipeline imports this module back.
         from repro.sampling.pipeline import run_sampled_sbp
@@ -120,9 +119,10 @@ def run_best_of(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if config is None:
         config = SBPConfig()
-    # Resolve the auto storage policy once, up front, so the per-member
-    # digests below match what run_sbp computes for the same member.
-    config = resolve_storage_policy(graph, config)
+    # Member digests record the auto storage policy resolved at C = V,
+    # as each member's FitSession does; the members themselves run the
+    # caller's config, so ``auto`` follows C inside each fit.
+    resolved = resolve_storage_policy(graph, config)
     seeds = spawn_seeds(config.seed, runs)
     deadline = (
         time.monotonic() + config.time_budget
@@ -143,7 +143,7 @@ def run_best_of(
         if checkpointer is None:
             results.append(run_sbp(graph, run_config))
             continue
-        member_digest = config_digest(run_config)
+        member_digest = config_digest(resolved.replace(seed=seed))
         prior = checkpointer.load_completed(index, digest=member_digest)
         if prior is not None:
             results.append(prior)

@@ -87,10 +87,9 @@ class SBPConfig:
         Both pick bit-identical merges; only wall-clock differs.
     update_strategy:
         Sweep-barrier update engine: 'incremental' (O(Σ deg(moved))
-        scatter delta-apply + serial-path proposal caching) or
-        'rebuild' (the O(E) full-recount oracle). Both leave the
-        blockmodel byte-equal after every sweep; only wall-clock
-        differs.
+        scatter delta-apply) or 'rebuild' (the O(E) full-recount
+        oracle). Both leave the blockmodel byte-equal after every
+        sweep; only wall-clock differs.
     block_storage:
         Inter-block matrix storage engine from the
         :mod:`repro.sbm.block_storage` registry: 'dense' (contiguous
@@ -99,9 +98,11 @@ class SBPConfig:
         journal over a sparse backing). Trajectories are bit-identical;
         only memory and wall-clock differ. 'auto' defers the choice to
         :func:`~repro.sbm.block_storage.resolve_block_storage`, which
-        picks dense/hybrid from (C, density, memory budget) at run
-        start — before checkpoint digests are computed, so the digest
-        records the decision.
+        picks dense/hybrid from (C, density, memory budget) for every
+        state a fit builds — the singleton start, each merge output, a
+        warm start — so a large graph starts on hybrid and runs dense
+        once C is small. Checkpoint digests and
+        ``SBPResult.block_storage`` record the choice at C = V.
     sample_rate:
         SamBaS sampling front-end (:mod:`repro.sampling`): fit the
         golden-section search on a ``ceil(sample_rate * V)``-vertex
@@ -210,8 +211,8 @@ class SBPConfig:
         # Engine names are validated against their registries so
         # in-test/plugin engines are accepted; imported lazily (the
         # engines depend on this module). The "auto" storage policy name
-        # is legal here and resolved to a concrete engine at run entry
-        # (it needs the graph's size).
+        # is legal here and resolved to a concrete engine wherever a fit
+        # builds a state (it needs the block count).
         from repro.parallel.backend import available_update_strategies
         from repro.sbm.block_storage import AUTO_STORAGE, available_block_storages
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import GraphValidationError
 from repro.types import EdgeList, IntArray
+from repro.utils.arrays import stable_argsort
 
 __all__ = ["Graph"]
 
@@ -143,7 +144,10 @@ class Graph:
         if self.num_vertices != other.num_vertices:
             return False
         # Compare canonical (sorted) edge multisets.
-        return np.array_equal(_canonical_edges(self.edges), _canonical_edges(other.edges))
+        return np.array_equal(
+            _canonical_edges(self.edges, self.num_vertices),
+            _canonical_edges(other.edges, other.num_vertices),
+        )
 
     def __hash__(self) -> int:
         return hash((self.num_vertices, self.num_edges))
@@ -161,8 +165,8 @@ class Graph:
         if self._digest is None:
             h = hashlib.sha256()
             h.update(np.int64(self.num_vertices).tobytes())
-            canonical = _canonical_edges(self.edges).astype("<i8", copy=False)
-            h.update(np.ascontiguousarray(canonical).tobytes())
+            canonical = _canonical_edges(self.edges, self.num_vertices)
+            h.update(np.ascontiguousarray(canonical, dtype="<i8").tobytes())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -186,7 +190,7 @@ def _build_csr(
     key: IntArray, value: IntArray, num_vertices: int
 ) -> tuple[IntArray, IntArray]:
     """Group ``value`` by ``key`` into (ptr, indices) CSR arrays."""
-    order = np.argsort(key, kind="stable")
+    order = stable_argsort(key, num_vertices)
     counts = np.bincount(key, minlength=num_vertices)
     ptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
@@ -219,6 +223,7 @@ def _build_incident_csr(
     return ptr, nbrs
 
 
-def _canonical_edges(edges: EdgeList) -> EdgeList:
-    idx = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[idx]
+def _canonical_edges(edges: EdgeList, num_vertices: int) -> EdgeList:
+    """``edges`` sorted by (source, target): one sort on ``src * V + dst``."""
+    keys = edges[:, 0] * num_vertices + edges[:, 1]
+    return edges[stable_argsort(keys, num_vertices * num_vertices)]

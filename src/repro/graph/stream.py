@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import GraphValidationError
 from repro.graph.graph import Graph
 from repro.types import EdgeList
-from repro.utils.arrays import expand_ranges
+from repro.utils.arrays import expand_ranges, stable_argsort
 
 __all__ = ["EdgeBatch", "apply_edge_batch"]
 
@@ -173,7 +173,7 @@ def apply_edge_batch(graph: Graph, batch: EdgeBatch) -> Graph:
         width = num_vertices
         old_keys = edges[:, 0] * width + edges[:, 1]
         rem_keys = batch.remove[:, 0] * width + batch.remove[:, 1]
-        order = np.argsort(old_keys, kind="stable")
+        order = stable_argsort(old_keys, width * width)
         sorted_keys = old_keys[order]
         uniq, counts = np.unique(rem_keys, return_counts=True)
         lo = np.searchsorted(sorted_keys, uniq, side="left")

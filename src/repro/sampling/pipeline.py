@@ -70,8 +70,9 @@ def run_sampled_sbp(
     """Run the three-stage sampled pipeline (see module docstring).
 
     ``config.sample_rate`` must be below 1.0 (``run_sbp`` bypasses this
-    module entirely at 1.0) and ``config.block_storage`` must already be
-    resolved to a concrete engine — ``run_sbp`` does both.
+    module entirely at 1.0). ``config.block_storage`` may be ``auto``:
+    the sample fit resolves it against the sample graph, and the
+    extended state and the fine-tune at their own block counts.
     """
     started = time.monotonic()
 
@@ -106,9 +107,9 @@ def run_sampled_sbp(
     )
     extension_seconds = time.monotonic() - stage_start
     _log.info(
-        "extended %d unsampled vertices into C=%d blocks (%.2fs)",
+        "extended %d unsampled vertices into C=%d blocks on %r (%.2fs)",
         graph.num_vertices - sampled.num_sampled, fit.num_blocks,
-        extension_seconds,
+        warm.storage_name, extension_seconds,
     )
 
     # The front-end's own record: its two stages, plus what the sample

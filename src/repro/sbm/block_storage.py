@@ -43,7 +43,9 @@ This module defines that contract (:class:`BlockState`), a registry
 
 The ``auto`` policy (:func:`resolve_block_storage`) is not an engine:
 it resolves to ``dense`` or ``hybrid`` from (C, density, memory budget)
-before any state is built, so config digests record the decision.
+each time a fit builds a state, so a fit that starts on ``hybrid`` at
+C = V moves to ``dense`` once the merges have shrunk C. Config digests
+record the decision at C = V.
 
 Bit-identical equivalence
 -------------------------
@@ -1224,29 +1226,48 @@ _SMALL_DENSE_BYTES = 32 * 2**20
 _DENSE_DENSITY = 0.05
 
 
+def _storage_budget() -> int:
+    """The dense-matrix budget: :data:`STORAGE_BUDGET_ENV` or the default."""
+    raw = os.environ.get(STORAGE_BUDGET_ENV)
+    if raw is None:
+        return _DEFAULT_BUDGET_BYTES
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 0:
+        raise BackendError(
+            f"{STORAGE_BUDGET_ENV}={raw!r} is not a byte count "
+            "(expected a non-negative integer)"
+        )
+    return budget
+
+
 def resolve_block_storage(
     name: str,
-    num_vertices: int,
+    num_blocks: int,
     num_edges: int,
     budget_bytes: int | None = None,
 ) -> tuple[str, str]:
     """Resolve a storage name to a concrete engine; explain the choice.
 
-    Concrete names pass through untouched. ``"auto"`` picks by the
-    worst-case dense footprint (C = V blocks, the agglomerative start
-    state) against a memory budget, and by the expected density ``E /
-    C²``: small or near-dense matrices go ``dense``, everything else
-    ``hybrid``. The decision is a pure function of ``(V, E, budget)``,
-    so it is safe to fold into checkpoint config digests. Returns
-    ``(engine, reason)``.
+    Concrete names pass through untouched. ``"auto"`` picks by the dense
+    footprint of a ``(C, C)`` matrix at the given block count against a
+    memory budget, and by the expected density ``E / C²``: small or
+    near-dense matrices go ``dense``, everything else ``hybrid``. Fits
+    resolve it at every state they build (the singleton start at
+    C = V, each merge output, a warm start), so a run follows the
+    agglomerative schedule onto ``dense`` once C is small. The decision
+    is a pure function of ``(C, E, budget)``, so resolving it at C = V
+    is safe to fold into checkpoint config digests. Returns
+    ``(engine, reason)``; a malformed budget variable raises
+    :class:`~repro.errors.BackendError`.
     """
     if name != AUTO_STORAGE:
         return name, "explicit"
     if budget_bytes is None:
-        budget_bytes = int(
-            os.environ.get(STORAGE_BUDGET_ENV, _DEFAULT_BUDGET_BYTES)
-        )
-    c = max(int(num_vertices), 1)
+        budget_bytes = _storage_budget()
+    c = max(int(num_blocks), 1)
     dense_bytes = 8 * c * c
     density = float(num_edges) / float(c * c)
     if dense_bytes <= _SMALL_DENSE_BYTES:

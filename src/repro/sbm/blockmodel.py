@@ -11,10 +11,11 @@ transitions SBP needs:
   vectorized pass (the per-sweep reconstruction of A-SBP, Alg. 3),
 * :meth:`merge_blocks` / :meth:`compact` — the block-merge phase (Alg. 1).
 
-Storage is selected at construction (``storage="dense"`` or
-``"sparse"``; see :mod:`repro.sbm.block_storage`): dense keeps the
+Storage is selected at construction (``storage="dense"``,
+``"sparse"``, ``"hybrid"`` or ``"auto"``, which resolves at the block
+count being built; see :mod:`repro.sbm.block_storage`): dense keeps the
 original contiguous C x C oracle, sparse keeps per-row non-zero arrays
-whose footprint scales with nnz rather than C^2. Both engines produce
+whose footprint scales with nnz rather than C^2. All engines produce
 bit-identical trajectories. The :attr:`B` property preserves the legacy
 dense view — for the dense engine it is the *live* array (in-place pokes
 keep working); for sparse engines it is a dense materialization.
@@ -27,7 +28,6 @@ import numpy as np
 from repro.errors import BlockmodelError
 from repro.graph.graph import Graph
 from repro.sbm.block_storage import (
-    AUTO_STORAGE,
     BlockState,
     DenseBlockState,
     get_block_storage,
@@ -40,17 +40,11 @@ __all__ = ["Blockmodel"]
 
 
 def _resolve_storage(
-    storage: str | type[BlockState], graph: Graph | None = None
+    storage: str | type[BlockState], num_blocks: int, num_edges: int
 ) -> type[BlockState]:
+    """The engine class for ``storage``; ``auto`` resolves at ``num_blocks``."""
     if isinstance(storage, str):
-        if storage == AUTO_STORAGE:
-            if graph is None:
-                raise BlockmodelError(
-                    "storage='auto' needs a graph to resolve against"
-                )
-            storage, _ = resolve_block_storage(
-                storage, graph.num_vertices, graph.num_edges
-            )
+        storage, _ = resolve_block_storage(storage, num_blocks, num_edges)
         return get_block_storage(storage)
     return storage
 
@@ -141,9 +135,8 @@ class Blockmodel:
             num_blocks = int(assignment.max()) + 1 if assignment.size else 1
         if assignment.size and (assignment.min() < 0 or assignment.max() >= num_blocks):
             raise BlockmodelError("assignment values must lie in [0, num_blocks)")
-        state = _count_block_edges_state(
-            graph, assignment, num_blocks, _resolve_storage(storage, graph)
-        )
+        engine = _resolve_storage(storage, num_blocks, graph.num_edges)
+        state = _count_block_edges_state(graph, assignment, num_blocks, engine)
         d_out = state.row_sums()
         d_in = state.col_sums()
         return cls(state, d_out, d_in, assignment.copy(), num_blocks)

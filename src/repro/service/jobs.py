@@ -24,10 +24,11 @@ describes its work as a :class:`JobSpec` and executes it through
   restarting, and ``resilient=True`` wraps the execution backend in the
   ``resilient:<inner>`` timeout/retry/fallback chain.
 
-``block_storage="auto"`` is resolved against the graph *before* the
-digest is computed, mirroring the checkpoint layer: the digest records
-the decision, so an ``auto`` job and the equivalent explicit config
-share a cache entry.
+``block_storage="auto"`` is resolved against the graph (at C = V) when
+the digest is computed, mirroring the checkpoint layer: the digest
+records the decision, so an ``auto`` job and the equivalent explicit
+config share a cache entry. The job itself runs the unresolved config,
+so its fits switch engines as C shrinks.
 """
 
 from __future__ import annotations
@@ -251,7 +252,6 @@ def execute_job(
     *never* cached — a rerun must finish the work, not re-serve a
     partial result.
     """
-    spec = spec.resolved()
     digest = spec.digest()
     if store is not None:
         cached = store.get(digest)
@@ -259,6 +259,8 @@ def execute_job(
             _log.info("job %s: cache hit (%s)", digest[:12], spec.mode)
             return cached
 
+    # The caller's config, not the resolved one the digest records: an
+    # ``auto`` storage policy must reach the fit to follow C there.
     config = spec.config
     if resilient and not any(
         config.backend.startswith(p) for p in ("resilient:", "distributed:")

@@ -127,7 +127,6 @@ class LeaseQueue:
         Deduplicated by id: a known PENDING/LEASED/DONE job is returned
         as-is, a FAILED one is revived with fresh attempts.
         """
-        spec = spec.resolved()
         job_id = spec.digest()
         with self._lock:
             job = self._jobs.get(job_id)

@@ -189,6 +189,7 @@ class StreamSession:
         )
         graph = stream.graph
         prev: SBPResult | None = None
+        engine = ""  # the engine the previous carried state sat on
 
         for index in range(stream.num_snapshots):
             step_start = time.monotonic()
@@ -215,12 +216,14 @@ class StreamSession:
                 assignment = self._grown_assignment(
                     prev.assignment, new_graph.num_vertices, prev.num_blocks
                 )
+                # The carried state sits on the configured engine at the
+                # carried C (``auto`` resolves there, not at V).
                 if assignment.shape[0] == graph.num_vertices:
                     # No vertex growth: carry the blockmodel through the
                     # O(|batch|) edge-delta scatter path.
                     carried = Blockmodel.from_assignment(
                         graph, assignment, prev.num_blocks,
-                        storage=prev.block_storage or self.config.block_storage,
+                        storage=self.config.block_storage,
                     )
                     carried.apply_edge_delta(batch)
                 else:
@@ -228,8 +231,15 @@ class StreamSession:
                     # delta path needs a fixed assignment length).
                     carried = Blockmodel.from_assignment(
                         new_graph, assignment, prev.num_blocks,
-                        storage=prev.block_storage or self.config.block_storage,
+                        storage=self.config.block_storage,
                     )
+                if carried.storage_name != (engine or prev.block_storage):
+                    _log.info(
+                        "snapshot %d: block_storage=%s carries C=%d on %r",
+                        index, self.config.block_storage, carried.num_blocks,
+                        carried.storage_name,
+                    )
+                engine = carried.storage_name
                 graph = new_graph
                 carried_nmdl = normalized_description_length(
                     carried.mdl(graph), graph.num_edges, graph.num_vertices
