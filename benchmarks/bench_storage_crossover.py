@@ -6,13 +6,15 @@ effectively dense). The ``--block-storage`` engines trade costs along
 that path; this bench measures, at E = 8C planted edges per size:
 
 * **rebuild** — ``from_edges`` (the per-sweep barrier reconstruction),
-* **sweep**   — a barrier ``scatter_edges`` burst plus a proposal-read
-  mix (``sym_row_cdf`` + ``row_gather``), the hot per-sweep ops,
+* **sweep**   — a barrier ``scatter_edges`` burst and its undo, each
+  followed by a ``gather`` of the cells it wrote (the read the next
+  batch-kernel call makes, so no engine can defer a write past it),
+  plus a proposal-read mix (``sym_row_cdf`` + ``row_gather``),
 * **merge scan** — ``merge_delta_batch`` over every block (the
   nonzero-triplet walk the vectorized merge backend runs),
 * **memory** — live ``memory_bytes()`` of each engine; for hybrid both
   cold (fresh) and warm (after a sweep burst populated the LRU line
-  caches and journal — the steady-state footprint),
+  caches — the steady-state footprint),
 
 and asserts all engines stay cell-for-cell equal per size. Every row
 records whether the ``repro.sbm.kernels`` dispatch selected numba jits
@@ -96,8 +98,15 @@ def _sweep_burst(state, src, dst, rng) -> None:
     pick = rng.permutation(len(src))[:m]
     C = state.num_blocks
     new_dst = rng.integers(0, C, m).astype(np.int64)
+    # Each scatter is followed by a gather of the cells it wrote: in a fit
+    # the next batch-kernel call (or the sweep's MDL) reads the state
+    # before anything writes it again.
+    written_rows = np.concatenate([src[pick], src[pick]])
+    written_cols = np.concatenate([dst[pick], new_dst])
     state.scatter_edges(src[pick], dst[pick], src[pick], new_dst)
+    state.gather(written_rows, written_cols)
     state.scatter_edges(src[pick], new_dst, src[pick], dst[pick])  # undo
+    state.gather(written_rows, written_cols)
     reads = rng.integers(0, C, PROPOSAL_READS).astype(np.int64)
     for u in reads[:50]:
         state.sym_row_cdf(int(u))
@@ -154,7 +163,7 @@ def crossover_rows(sizes: list[int], reps: int) -> list[dict]:
         row["hybrid_sweep_s"] = _time(
             partial(_sweep_burst, hybrid, src, dst, sweep_rng), reps
         )
-        # Warm footprint: line caches + journal as a sweep leaves them.
+        # Warm footprint: the line caches as a sweep leaves them.
         row["hybrid_warm_bytes"] = hybrid.memory_bytes()
         assert sparse.equals_dense(dense.to_dense()), f"sweep diverged at C={C}"
         assert np.array_equal(hybrid.to_dense(), dense.to_dense()), (
