@@ -94,8 +94,8 @@ class SBPConfig:
         Inter-block matrix storage engine from the
         :mod:`repro.sbm.block_storage` registry: 'dense' (contiguous
         C x C int64, the oracle), 'sparse' (per-row non-zero arrays,
-        O(nnz) memory) or 'hybrid' (LRU dense line cache + write-behind
-        journal over a sparse backing). Trajectories are bit-identical;
+        O(nnz) memory) or 'hybrid' (LRU dense line cache written through
+        to a sparse backing). Trajectories are bit-identical;
         only memory and wall-clock differ. 'auto' defers the choice to
         :func:`~repro.sbm.block_storage.resolve_block_storage`, which
         picks dense/hybrid from (C, density, memory budget) for every

@@ -33,13 +33,12 @@ This module defines that contract (:class:`BlockState`), a registry
     per-row/per-column arrays.
 ``hybrid``
     A sweep-burst engine layered over a sparse backing store: an LRU of
-    materialized dense rows/columns for high-traffic blocks plus a
-    write-behind cell-delta journal. CDF/row reads hit the dense cache
-    lines (dense-identity :class:`RowCDF`, so draws are byte-equal to
-    the oracle), ``apply_move``/``scatter_edges`` append journal chunks
-    and write through cached lines in O(deg), and whole-matrix reads,
-    ``merge_into`` and ``compact`` flush the journal and reuse the
-    sparse paths.
+    materialized dense rows/columns for high-traffic blocks. CDF/row
+    reads hit the dense cache lines (dense-identity :class:`RowCDF`, so
+    draws are byte-equal to the oracle), ``apply_move``/``scatter_edges``
+    write through to the sparse backing at once and to every cached line
+    they touch, and whole-matrix reads, ``merge_into`` and ``compact``
+    are the sparse paths.
 
 The ``auto`` policy (:func:`resolve_block_storage`) is not an engine:
 it resolves to ``dense`` or ``hybrid`` from (C, density, memory budget)
@@ -125,9 +124,10 @@ class RowCDF:
     def draw(self, uniform: float, fallback: int) -> int:
         """Floor-and-clamp inverse-CDF draw; ``fallback`` on a zero row.
 
-        Matches ``repro.sbm.moves._cdf_draw`` exactly: the float draw
-        ``uniform * total`` is floored (identical for u in [0, 1)) and
-        clamped to ``total - 1`` (the u == 1.0 boundary).
+        The float draw ``uniform * total`` is floored (for an integer
+        CDF, ``cdf[i] > x`` iff ``cdf[i] > floor(x)``, so the index is
+        unchanged for u in [0, 1)) and clamped to ``total - 1`` (the
+        u == 1.0 boundary).
         """
         total = self.total
         if total <= 0:
@@ -802,59 +802,43 @@ class SparseBlockState(BlockState):
 
 
 # ----------------------------------------------------------------------
-# Hybrid engine: LRU dense lines + write-behind journal over sparse
+# Hybrid engine: LRU dense lines over a write-through sparse backing
 # ----------------------------------------------------------------------
-#: Consolidate a hybrid journal axis once it holds this many batches:
-#: miss replay binary-searches every batch, so the list must stay short.
-_MAX_JOURNAL_BATCHES = 4
-
-
 class HybridBlockState(BlockState):
     """Sweep-burst engine: dense LRU line cache over a sparse backing.
 
-    The sparse engine owns the authoritative compressed matrix, but its
-    per-move ``np.insert`` merges are the sweep-burst bottleneck. This
-    engine sits in front of it with two structures:
+    The sparse engine owns the authoritative compressed matrix. This
+    engine keeps up to :attr:`cache_lines` materialized dense rows and as
+    many columns in front of it, stored as rows of one 2-D buffer per
+    axis with an O(1) line → slot lookup array. ``sym_row_cdf`` on a
+    cached block is two O(C) adds and a prefix sum, i.e. the dense
+    oracle's exact arithmetic, so the returned :class:`RowCDF` is the
+    dense-identity form and draws are byte-equal by construction.
 
-    * **LRU line caches** — up to :attr:`cache_lines` materialized dense
-      rows and as many columns, stored as rows of one 2-D buffer per
-      axis with an O(1) line → slot lookup array. ``sym_row_cdf`` on a
-      cached block is two O(C) adds and a prefix sum, i.e. the dense
-      oracle's exact arithmetic, so the returned :class:`RowCDF` is the
-      dense-identity form and draws are byte-equal by construction.
-    * **write-behind journal** — ``apply_move``/``scatter_edges`` append
-      one line-sorted ``(lines, keys, deltas)`` batch per axis instead
-      of merging into the sparse arrays, and write through every cached
-      cell of the batch with a single ``np.add.at`` on the 2-D buffer
-      (the slot array turns "which of these lines are cached" into one
-      fancy index — no per-line Python loop on the write path).
-      Whole-matrix reads, merges, compaction, copies and serialization
-      flush the journal through the sparse engine's aggregation path
-      (which also performs the deferred negative-count audit).
+    Writes go through at once: ``apply_move``/``scatter_edges`` merge
+    the batch into the sparse backing (whose aggregation path audits
+    non-negativity, so a negative count raises at the write, before any
+    cached line changes), then update every cached cell of the batch
+    with one ``np.add.at`` per axis on the 2-D buffer (the slot array
+    turns "which of these lines are cached" into one fancy index — no
+    per-line Python loop). Whole-matrix reads, merges, compaction and
+    copies go straight to the backing. A fit reads the whole state after
+    every write (the next batch-kernel call's ``gather`` or the sweep's
+    MDL), so deferring writes past it would save nothing. With the
+    default budget (``max(256, C // 16)`` lines per axis, capped at C)
+    the buffers top out at ``2 · cache_lines · C · 8`` bytes — 12.5% of
+    the dense matrix at C ≥ 4096.
 
-    A cache miss replays the missed line's pending journal entries on
-    top of the backing row — each batch is line-sorted, so replay is a
-    binary search per batch, and the batch list is consolidated into a
-    single sorted batch whenever it exceeds
-    :data:`_MAX_JOURNAL_BATCHES` (amortized vectorized argsort, keeping
-    per-miss replay O(log) regardless of how many small per-move writes
-    accumulated). Reads therefore never require a flush. With the
-    default budget (``max(256, C // 16)`` lines per axis) the buffers
-    top out at ``2 · cache_lines · C · 8`` bytes — 12.5% of the dense
-    matrix at C ≥ 4096.
-
-    All journaled quantities are int64 edge-count deltas, so replay and
-    write-through order cannot affect the resulting cells; bit-identity
-    with the dense oracle needs no float reasoning on this path.
+    All writes are int64 edge-count deltas, so write-through order
+    cannot affect the resulting cells; bit-identity with the dense oracle
+    needs no float reasoning on this path.
     """
 
     name = "hybrid"
 
     __slots__ = ("num_blocks", "_backing", "cache_lines",
                  "_row_lru", "_col_lru", "_row_slots", "_col_slots",
-                 "_row_buf", "_col_buf", "_row_resident", "_col_resident",
-                 "_jrow", "_jcol", "_pending",
-                 "_flush_threshold")
+                 "_row_buf", "_col_buf")
 
     def __init__(
         self, backing: SparseBlockState, cache_lines: int | None = None
@@ -870,10 +854,6 @@ class HybridBlockState(BlockState):
             cache_lines = max(256, self.num_blocks // 16)
         # A cache larger than the matrix is just the matrix.
         self.cache_lines = min(int(cache_lines), self.num_blocks)
-        # True once _prefill_axis made every line of the axis resident
-        # at slot == line; reads then skip the LRU machinery entirely.
-        self._row_resident = False
-        self._col_resident = False
         # line → LRU slot; the OrderedDict carries recency, the arrays
         # give the write path its vectorized line → slot lookup.
         self._row_lru: OrderedDict[int, int] = OrderedDict()
@@ -883,48 +863,8 @@ class HybridBlockState(BlockState):
         # (cache_lines, C) buffers, allocated on first materialization.
         self._row_buf: np.ndarray | None = None
         self._col_buf: np.ndarray | None = None
-        # per-axis lists of line-sorted (lines, keys, deltas) batches
-        self._jrow: list[tuple[IntArray, IntArray, IntArray]] = []
-        self._jcol: list[tuple[IntArray, IntArray, IntArray]] = []
-        self._pending = 0
-        self._flush_threshold = max(4096, 8 * self.num_blocks)
 
-    # -- journal --------------------------------------------------------
-    def _flush(self) -> None:
-        """Fold every pending journal batch into the sparse backing.
-
-        The backing's aggregation path also audits non-negativity, so a
-        caller delta-accounting bug surfaces here (at the latest at the
-        next whole-matrix read) rather than per-move. Cached lines stay
-        valid: they already include the journal deltas.
-        """
-        if self._pending == 0:
-            return
-        C = self.num_blocks
-        keys = np.concatenate([ln * C + k for ln, k, _ in self._jrow])
-        deltas = np.concatenate([d for _, _, d in self._jrow])
-        self._jrow.clear()
-        self._jcol.clear()
-        self._pending = 0
-        self._backing._apply_cell_deltas(keys, deltas)
-
-    @staticmethod
-    def _consolidate(
-        journal: list[tuple[IntArray, IntArray, IntArray]],
-    ) -> None:
-        """Merge the batch list into one line-sorted batch.
-
-        Runs on the *miss* path only (writes append in O(1)): a miss
-        that finds more than :data:`_MAX_JOURNAL_BATCHES` batches pays
-        one vectorized argsort so that it — and every later miss until
-        the next pile-up — replays with a single binary search.
-        """
-        lines = np.concatenate([b[0] for b in journal])
-        keys = np.concatenate([b[1] for b in journal])
-        deltas = np.concatenate([b[2] for b in journal])
-        order = np.argsort(lines, kind="stable")
-        journal[:] = [(lines[order], keys[order], deltas[order])]
-
+    # -- write-through --------------------------------------------------
     @staticmethod
     def _write_through(
         slots: IntArray,
@@ -942,61 +882,18 @@ class HybridBlockState(BlockState):
             np.add.at(buf, (s[hit], keys[hit]), deltas[hit])
 
     def _record(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
-        """Journal a batch of cell deltas (duplicates allowed)."""
-        n = rows.shape[0]
-        if n == 0:
+        """Apply a batch of cell deltas (duplicates allowed).
+
+        The backing goes first, so a delta that drives a cell negative
+        raises before any cached line has changed.
+        """
+        if rows.shape[0] == 0:
             return
-        C = self.num_blocks
-        order = np.argsort(rows * C + cols, kind="stable")
-        self._jrow.append((rows[order], cols[order], deltas[order]))
+        self._backing._apply_cell_deltas(rows * self.num_blocks + cols, deltas)
         self._write_through(self._row_slots, self._row_buf, rows, cols, deltas)
-        order = np.argsort(cols * C + rows, kind="stable")
-        self._jcol.append((cols[order], rows[order], deltas[order]))
         self._write_through(self._col_slots, self._col_buf, cols, rows, deltas)
-        self._pending += n
-        if self._pending >= self._flush_threshold:
-            self._flush()
 
     # -- line materialization -------------------------------------------
-    @staticmethod
-    def _replay(
-        journal: list[tuple[IntArray, IntArray, IntArray]],
-        line: int,
-        target: IntArray,
-    ) -> None:
-        """Apply a line's pending deltas; batches are line-sorted."""
-        for lines, keys, deltas in journal:
-            lo = int(np.searchsorted(lines, line, side="left"))
-            hi = int(np.searchsorted(lines, line, side="right"))
-            if hi > lo:
-                _K.index_add(target, keys[lo:hi], deltas[lo:hi])
-
-    def _prefill_axis(self, axis: int) -> None:
-        """Materialize *every* line of an axis in one vectorized shot.
-
-        Only possible when ``C <= cache_lines``; in that regime the
-        hybrid engine is a dense mirror with a write-behind journal, so
-        the first miss pays one ``to_dense`` instead of C per-line
-        gathers and no later read ever misses (until an invalidation).
-        """
-        C = self.num_blocks
-        dense = self._backing.to_dense()
-        buf = np.zeros((self.cache_lines, C), dtype=np.int64)
-        buf[:C] = dense if axis == 0 else dense.T
-        for lines, keys, deltas in (self._jrow if axis == 0 else self._jcol):
-            np.add.at(buf, (lines, keys), deltas)
-        lru = self._row_lru if axis == 0 else self._col_lru
-        lru.clear()
-        lru.update((i, i) for i in range(C))
-        slots = self._row_slots if axis == 0 else self._col_slots
-        slots[:] = np.arange(C, dtype=np.int64)
-        if axis == 0:
-            self._row_buf = buf
-            self._row_resident = True
-        else:
-            self._col_buf = buf
-            self._col_resident = True
-
     def _materialize_axis(
         self, axis: int, line: int, fetch
     ) -> IntArray:
@@ -1007,9 +904,6 @@ class HybridBlockState(BlockState):
         if slot is not None:
             lru.move_to_end(line)
             return (self._row_buf if axis == 0 else self._col_buf)[slot]
-        if self.num_blocks <= self.cache_lines:
-            self._prefill_axis(axis)
-            return (self._row_buf if axis == 0 else self._col_buf)[line]
         slots = self._row_slots if axis == 0 else self._col_slots
         buf = self._row_buf if axis == 0 else self._col_buf
         if buf is None:
@@ -1025,10 +919,6 @@ class HybridBlockState(BlockState):
             slot = len(lru)
         out = buf[slot]
         out[:] = fetch(line)
-        journal = self._jrow if axis == 0 else self._jcol
-        if len(journal) > _MAX_JOURNAL_BATCHES:
-            self._consolidate(journal)
-        self._replay(journal, line, out)
         lru[line] = slot
         slots[line] = slot
         return out
@@ -1045,72 +935,47 @@ class HybridBlockState(BlockState):
         self._col_lru.clear()
         self._row_slots.fill(-1)
         self._col_slots.fill(-1)
-        self._row_resident = False
-        self._col_resident = False
 
     # -- reads ----------------------------------------------------------
-    # The ``_row_resident`` fast paths matter: in the C <= cache_lines
-    # regime every line sits at slot == line, and skipping the LRU dict
-    # work brings per-read cost to within a few percent of the dense
-    # oracle's direct indexing.
     def get(self, r: int, c: int) -> int:
-        if self._row_resident:
-            return int(self._row_buf[r, c])
         return int(self._materialize_row(r)[c])
 
     def row_gather(self, r: int, cols: IntArray) -> IntArray:
-        row = self._row_buf[r] if self._row_resident else self._materialize_row(r)
-        return row[np.asarray(cols, dtype=np.int64)]
+        return self._materialize_row(r)[np.asarray(cols, dtype=np.int64)]
 
     def col_gather(self, c: int, rows: IntArray) -> IntArray:
-        col = self._col_buf[c] if self._col_resident else self._materialize_col(c)
-        return col[np.asarray(rows, dtype=np.int64)]
+        return self._materialize_col(c)[np.asarray(rows, dtype=np.int64)]
 
     def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
-        self._flush()
         return self._backing.gather(rows, cols)
 
     def dense_row(self, r: int) -> IntArray:
-        if self._row_resident:
-            return self._row_buf[r].copy()
         return self._materialize_row(r).copy()
 
     def dense_col(self, c: int) -> IntArray:
-        if self._col_resident:
-            return self._col_buf[c].copy()
         return self._materialize_col(c).copy()
 
     def diagonal(self) -> IntArray:
-        self._flush()
         return self._backing.diagonal()
 
     def sym_row_cdf(self, u: int) -> RowCDF:
-        if self._row_resident and self._col_resident:
-            return RowCDF(
-                None, _K.sym_cdf_lines(self._row_buf[u], self._col_buf[u])
-            )
         row = self._materialize_row(u)
         col = self._materialize_col(u)
         return RowCDF(None, _K.sym_cdf_lines(row, col))
 
     def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
-        self._flush()
         return self._backing.nonzero()
 
     def row_sums(self) -> IntArray:
-        self._flush()
         return self._backing.row_sums()
 
     def col_sums(self) -> IntArray:
-        self._flush()
         return self._backing.col_sums()
 
     def to_dense(self) -> np.ndarray:
-        self._flush()
         return self._backing.to_dense()
 
     def likelihood_matrix(self) -> np.ndarray:
-        self._flush()
         return self._backing.likelihood_matrix()
 
     # -- mutations ------------------------------------------------------
@@ -1157,7 +1022,6 @@ class HybridBlockState(BlockState):
         self._record(rows, cols, deltas)
 
     def merge_into(self, r: int, s: int) -> None:
-        self._flush()
         self._backing.merge_into(r, s)
         # Every cached row holds cells at columns r and s, and every
         # cached column holds cells at rows r and s — all shifted by the
@@ -1165,11 +1029,9 @@ class HybridBlockState(BlockState):
         self._invalidate_lines()
 
     def compact(self, keep: IntArray, mapping: IntArray) -> "HybridBlockState":
-        self._flush()
         return HybridBlockState(self._backing.compact(keep, mapping))
 
     def copy(self) -> "HybridBlockState":
-        self._flush()
         return HybridBlockState(self._backing.copy(), self.cache_lines)
 
     # -- construction ---------------------------------------------------
@@ -1184,26 +1046,20 @@ class HybridBlockState(BlockState):
     # -- observability --------------------------------------------------
     @property
     def nnz(self) -> int:
-        self._flush()
         return self._backing.nnz
 
     @property
     def total(self) -> int:
-        self._flush()
         return self._backing.total
 
     def memory_bytes(self) -> int:
-        """Backing + line buffers + journal + lookup arrays, no flush."""
+        """Backing + line buffers + lookup arrays."""
         total = self._backing.memory_bytes()
         total += int(self._row_slots.nbytes) + int(self._col_slots.nbytes)
         per_array_overhead = 112
         for buf in (self._row_buf, self._col_buf):
             if buf is not None:
                 total += int(buf.nbytes) + per_array_overhead
-        for journal in (self._jrow, self._jcol):
-            for lines, keys, deltas in journal:
-                total += int(lines.nbytes) + int(keys.nbytes)
-                total += int(deltas.nbytes) + 3 * per_array_overhead
         return total
 
 

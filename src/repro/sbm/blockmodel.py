@@ -67,16 +67,9 @@ class Blockmodel:
     num_blocks:
         The matrix dimension C. Blocks may be empty after moves; use
         :meth:`compact` to drop them.
-    delta_epoch:
-        Monotonic counter bumped whenever the state is rewritten without
-        a vertex move (:meth:`apply_edge_delta`, :meth:`rebuild`);
-        anything that memoizes matrix rows compares it to detect that.
     """
 
-    __slots__ = (
-        "state", "d_out", "d_in", "d", "assignment", "num_blocks",
-        "delta_epoch",
-    )
+    __slots__ = ("state", "d_out", "d_in", "d", "assignment", "num_blocks")
 
     def __init__(
         self,
@@ -95,7 +88,6 @@ class Blockmodel:
         self.d = d_out + d_in
         self.assignment = assignment
         self.num_blocks = num_blocks
-        self.delta_epoch = 0
 
     @property
     def B(self) -> np.ndarray:
@@ -179,7 +171,6 @@ class Blockmodel:
         self.d_out = self.state.row_sums()
         self.d_in = self.state.col_sums()
         self.d = self.d_out + self.d_in
-        self.delta_epoch += 1
 
     # ------------------------------------------------------------------
     # State transitions

@@ -136,8 +136,6 @@ def apply_edge_delta(bm: Blockmodel, batch) -> None:
     A batch that grows ``num_vertices`` must have the new vertices
     already present in ``bm.assignment`` (extend the assignment and
     use :meth:`Blockmodel.from_assignment` for growth snapshots).
-
-    Bumps ``bm.delta_epoch``: the state was rewritten without a move.
     """
     batch = batch.normalized()
     assignment = bm.assignment
@@ -165,7 +163,6 @@ def apply_edge_delta(bm: Blockmodel, batch) -> None:
     _K.index_sub(bm.d, rem_dst, ones_rem)
     _K.index_add(bm.d, add_src, ones_add)
     _K.index_add(bm.d, add_dst, ones_add)
-    bm.delta_epoch += 1
 
 
 class _TimedUpdater(SweepUpdater):

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.sbm.blockmodel import Blockmodel
-from repro.sbm.kernels import cdf_index
 
 __all__ = [
     "propose_vertex_move",
@@ -188,28 +187,6 @@ def accept_probability(delta_s: float, hastings: float, beta: float) -> float:
     if exponent < -MAX_EXPONENT:
         return 0.0
     return math.exp(exponent)
-
-
-def _inverse_cdf_draw(weights: np.ndarray, uniform: float, fallback: int) -> int:
-    """Draw an index proportionally to non-negative integer ``weights``."""
-    return _cdf_draw(np.cumsum(weights), uniform, fallback)
-
-
-def _cdf_draw(cdf: np.ndarray, uniform: float, fallback: int) -> int:
-    """Inverse-CDF draw against a precomputed integer prefix-sum.
-
-    The float draw ``uniform * total`` is floored and clamped to
-    ``total - 1`` before the searchsorted: for an integer CDF,
-    ``cdf[i] > x`` iff ``cdf[i] > floor(x)``, so flooring never changes
-    the drawn index for ``uniform ∈ [0, 1)``, and the clamp keeps the
-    ``uniform == 1.0`` boundary in range (the unclamped form returned
-    ``len(cdf)``). The batch merge kernel uses the same semantics.
-    """
-    total = int(cdf[-1]) if cdf.size else 0
-    if total <= 0:
-        return fallback
-    draw = min(int(uniform * total), total - 1)
-    return int(cdf_index(cdf, draw))
 
 
 def _uniform_other(C: int, r: int, uniform: float) -> int:

@@ -1,9 +1,9 @@
-"""Hybrid-engine internals: LRU eviction, write-behind journal, policy.
+"""Hybrid-engine internals: LRU eviction, write-through, policy.
 
 The equivalence matrices (``test_block_storage.py``,
 ``test_storage_equivalence.py``) prove the hybrid engine replays dense
 chains end-to-end; this module attacks the machinery those matrices can
-miss by luck — evictions racing journaled writes, deferred audits,
+miss by luck — evictions racing write-throughs, the write-time audit,
 memory accounting and the ``auto`` storage policy.
 """
 
@@ -52,14 +52,9 @@ class TestLRUEviction:
         assert big.cache_lines == 512  # C // 16
 
     def test_evict_then_reread_equals_fresh_gather(self):
-        """An evicted line that had journaled writes re-reads correctly.
-
-        The journal chunk for the evicted line must survive the eviction
-        (only the materialized array is dropped) and be replayed on the
-        next materialization.
-        """
+        """An evicted line that had writes re-reads correctly."""
         state, dense = _tiny_hybrid(cache_lines=2)
-        # Materialize rows 0 and 1, then journal a write into row 0.
+        # Materialize rows 0 and 1, then write into row 0.
         state.dense_row(0)
         state.dense_row(1)
         src = np.asarray([0], dtype=np.int64)
@@ -70,7 +65,6 @@ class TestLRUEviction:
         state.dense_row(2)
         state.dense_row(3)
         assert 0 not in state._row_lru
-        assert state._pending > 0  # no flush happened along the way
         assert_array_equal(state.dense_row(0), dense.dense_row(0))
         assert_array_equal(
             state.row_gather(0, np.arange(8)), dense.dense_row(0)
@@ -87,7 +81,7 @@ class TestLRUEviction:
         state.dense_row(0)
         state.dense_row(1)  # cache full: {0, 1}
         old_src = np.asarray([0, 1, 2], dtype=np.int64)
-        old_dst = np.asarray([1, 2, 3], dtype=np.int64)
+        old_dst = np.asarray([3, 2, 4], dtype=np.int64)
         new_src = np.asarray([0, 1, 2], dtype=np.int64)
         new_dst = np.asarray([4, 5, 6], dtype=np.int64)
         state.scatter_edges(old_src, old_dst, new_src, new_dst)
@@ -99,15 +93,20 @@ class TestLRUEviction:
             assert_array_equal(state.dense_row(r), dense.dense_row(r))
             assert_array_equal(state.dense_col(r), dense.dense_col(r))
 
-    def test_adversarial_access_fuzz(self):
-        """Fixed-seed op soup on a 2-line cache stays byte-equal to dense."""
+    @pytest.mark.parametrize("cache_lines", [2, None])
+    def test_adversarial_access_fuzz(self, cache_lines):
+        """Fixed-seed op soup stays byte-equal to dense.
+
+        A 2-line cache evicts on almost every read; the default budget
+        caches every line at C = 12.
+        """
         C = 12
         rng = np.random.default_rng(20240807)
         ref = rng.integers(0, 6, size=(C, C)).astype(np.int64)
-        state = HybridBlockState(SparseBlockState.from_dense(ref), 2)
+        state = HybridBlockState(SparseBlockState.from_dense(ref), cache_lines)
         dense = DenseBlockState.from_dense(ref)
         for step in range(300):
-            op = rng.integers(0, 5)
+            op = rng.integers(0, 7)
             if op == 0:  # move an edge endpoint between live cells
                 r, c = (int(x) for x in rng.integers(0, C, 2))
                 row = dense.dense_row(r)
@@ -122,6 +121,10 @@ class TestLRUEviction:
                 )
                 state.scatter_edges(*args)
                 dense.scatter_edges(*args)
+                assert_array_equal(
+                    state._backing.to_dense(), dense.to_dense(),
+                    err_msg=f"backing diverged at step {step}",
+                )
             elif op == 1:
                 u = int(rng.integers(0, C))
                 assert_array_equal(
@@ -135,49 +138,23 @@ class TestLRUEviction:
             elif op == 3:
                 c = int(rng.integers(0, C))
                 assert_array_equal(state.dense_col(c), dense.dense_col(c))
+            elif op == 4:
+                rows, cols = rng.integers(0, C, (2, 5))
+                assert_array_equal(
+                    state.gather(rows, cols), dense.gather(rows, cols)
+                )
+            elif op == 5:
+                for got, want in zip(state.nonzero(), dense.nonzero()):
+                    assert_array_equal(got, want)
             else:
                 r, c = (int(x) for x in rng.integers(0, C, 2))
                 assert state.get(r, c) == dense.get(r, c)
         assert_array_equal(state.to_dense(), dense.to_dense())
 
 
-class TestJournal:
-    def test_threshold_triggers_flush(self):
-        state, dense = _tiny_hybrid()
-        state._flush_threshold = 4  # shrink for the test
-        empty = np.empty(0, dtype=np.int64)
-        src = np.asarray([0, 1], dtype=np.int64)
-        dst = np.asarray([3, 4], dtype=np.int64)
-        state.scatter_edges(empty, empty, src, dst)  # 2 pending, no flush
-        dense.scatter_edges(empty, empty, src, dst)
-        assert state._pending == 2
-        new_dst = np.asarray([5, 6], dtype=np.int64)
-        state.scatter_edges(src, dst, src, new_dst)  # 4 entries -> flush
-        dense.scatter_edges(src, dst, src, new_dst)
-        assert state._pending == 0
-        assert not state._jrow and not state._jcol
-        # The backing saw the deltas without any whole-matrix read.
-        assert_array_equal(state._backing.to_dense(), dense.to_dense())
-
-    def test_reads_never_flush(self):
-        state, _ = _tiny_hybrid()
-        src = np.asarray([0], dtype=np.int64)
-        state.scatter_edges(
-            src, np.asarray([3], dtype=np.int64),
-            src, np.asarray([5], dtype=np.int64),
-        )
-        pending = state._pending
-        assert pending > 0
-        state.get(0, 5)
-        state.dense_row(0)
-        state.dense_col(5)
-        state.sym_row_cdf(0)
-        assert state._pending == pending
-        state.to_dense()  # whole-matrix read is the flush point
-        assert state._pending == 0
-
-    def test_negative_count_surfaces_at_flush(self):
-        """The deferred audit still fires: going negative raises."""
+class TestWriteThrough:
+    def test_negative_count_raises_at_write(self):
+        """The backing's audit fires at the write: going negative raises."""
         C = 6
         state = HybridBlockState(
             SparseBlockState.from_dense(np.zeros((C, C), dtype=np.int64)), 2
@@ -185,9 +162,8 @@ class TestJournal:
         src = np.asarray([1], dtype=np.int64)
         dst = np.asarray([2], dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
-        state.scatter_edges(src, dst, empty, empty)  # remove a phantom edge
         with pytest.raises(BlockmodelError, match="negative count"):
-            state.to_dense()
+            state.scatter_edges(src, dst, empty, empty)  # remove a phantom edge
 
 
 class TestMemoryAccounting:
@@ -211,21 +187,13 @@ class TestMemoryAccounting:
         )
         assert state.memory_bytes() >= payload
 
-    def test_hybrid_counts_cache_and_journal(self):
+    def test_hybrid_counts_cache(self):
         state, _ = _tiny_hybrid(C=16, cache_lines=4)
         base = state.memory_bytes()
         assert base >= state._backing.memory_bytes()
         state.dense_row(0)
         state.dense_col(1)
-        cached = state.memory_bytes()
-        assert cached > base
-        src = np.asarray([0], dtype=np.int64)
-        state.scatter_edges(
-            src, np.asarray([2], dtype=np.int64),
-            src, np.asarray([3], dtype=np.int64),
-        )
-        assert state.memory_bytes() > cached
-        assert state._pending > 0  # memory_bytes must not flush
+        assert state.memory_bytes() > base
 
     def test_hybrid_cache_is_bounded(self):
         state, _ = _tiny_hybrid(C=32, cache_lines=3)
