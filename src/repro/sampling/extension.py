@@ -61,15 +61,6 @@ from repro.utils.arrays import expand_ranges
 __all__ = ["extend_assignment"]
 
 
-def _self_loop_counts(graph: Graph) -> IntArray:
-    """Per-vertex self-loop multiplicities, one O(E) pass over the CSR."""
-    lengths = np.diff(graph.out_ptr)
-    vid = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), lengths)
-    return np.bincount(
-        vid[graph.out_nbrs == vid], minlength=graph.num_vertices
-    ).astype(np.int64)
-
-
 def _lookup_counts(
     keys_sorted: IntArray, counts: IntArray, queries: IntArray
 ) -> IntArray:
@@ -180,7 +171,7 @@ def extend_assignment(
     d_out = B.sum(axis=1)
     d_in = B.sum(axis=0)
     sizes = np.bincount(assignment[assigned], minlength=C).astype(np.int64)
-    loops = _self_loop_counts(graph)
+    loops = graph.self_loops
 
     for batch in degree_descending_batches(graph, unassigned, num_batches):
         m = batch.shape[0]

@@ -1,20 +1,26 @@
 """Pluggable blockmodel storage engines — the ``BlockState`` protocol.
 
-The inference path never needs a dense ``(C, C)`` matrix per se; it needs
-a small contract of reads and O(change) mutations:
+The inference path never needs a dense ``(C, C)`` matrix per se. A
+storage engine implements seven primitives:
 
-* scalar cell reads and batched row/column/elementwise **gathers** (the
-  delta-MDL and Hastings kernels in :mod:`repro.sbm.delta` and
-  :mod:`repro.parallel.vectorized`),
-* a **compressed symmetrized-row CDF view** for the multinomial proposal
-  draws (:mod:`repro.sbm.moves`),
-* a row-major **non-zero triplet view** for the batch merge kernels,
-* an O(degree) **single-move update** (serial Metropolis),
-* a batch **sweep delta-apply** (the A-SBP barrier,
-  :mod:`repro.sbm.incremental`),
-* **merge**, **compact** and **rebuild-from-edges** transitions (Alg. 1
-  and the agglomerative outer loop),
-* **densify** for MDL evaluation and serialization.
+* :meth:`~BlockState.gather` — elementwise cell reads (the batch
+  delta-MDL and Hastings kernels of :mod:`repro.parallel.vectorized`),
+* :meth:`~BlockState.nonzero` — the row-major non-zero triplets (the
+  batch merge kernels and every whole-matrix read),
+* :meth:`~BlockState.sym_row_cdf` — a symmetrized-row CDF view for the
+  multinomial proposal draws (:mod:`repro.sbm.moves`),
+* :meth:`~BlockState.add_cells` — integer deltas added to cells, which
+  is all that Alg. 2's in-place move and Alg. 3's sweep barrier
+  (:mod:`repro.sbm.incremental`) do to the matrix,
+* :meth:`~BlockState.copy`, :meth:`~BlockState.from_triplets` and
+  :meth:`~BlockState.memory_bytes`.
+
+:class:`BlockState` derives every other read and write from them, once:
+the scalar and line reads from ``gather``; the sums, densification and
+gauges from ``nonzero``; ``apply_move``, ``scatter_edges`` and
+``merge_into`` as one ``add_cells`` call each; ``compact``,
+``from_edges`` and ``from_dense`` through ``from_triplets``. An engine
+overrides a derived method only where it has a faster path.
 
 This module defines that contract (:class:`BlockState`), a registry
 (:data:`BLOCK_STORAGES`, with :func:`register_block_storage` /
@@ -24,21 +30,20 @@ This module defines that contract (:class:`BlockState`), a registry
     The original contiguous int64 matrix, retained as the oracle. Its
     :attr:`~DenseBlockState.B` attribute is the *live* array, so legacy
     code (and tests) that read or poke ``bm.B`` keep working unchanged.
+    It overrides the whole-matrix reads with numpy's own.
 ``sparse``
     Numpy-native per-row sorted ``(cols, vals)`` arrays with a mirrored
-    per-column index, so gathers stay vectorized. A lazy flattened
-    CSR view (sorted ``r * C + c`` keys) serves frozen-state batch
-    gathers and the merge kernels; it is invalidated by any mutation and
-    never consulted on the serial per-move path, which uses only the
-    per-row/per-column arrays.
+    per-column index; they take the writes and serve ``sym_row_cdf``.
+    A lazy flattened CSR view (sorted ``r * C + c`` keys) serves
+    ``gather`` and ``nonzero``, and so every derived read; any write
+    drops it.
 ``hybrid``
-    A sweep-burst engine layered over a sparse backing store: an LRU of
-    materialized dense rows/columns for high-traffic blocks. CDF/row
-    reads hit the dense cache lines (dense-identity :class:`RowCDF`, so
-    draws are byte-equal to the oracle), ``apply_move``/``scatter_edges``
-    write through to the sparse backing at once and to every cached line
-    they touch, and whole-matrix reads, ``merge_into`` and ``compact``
-    are the sparse paths.
+    An LRU of materialized dense rows/columns in front of a sparse
+    backing store. CDF and line reads hit the dense cache lines
+    (dense-identity :class:`RowCDF`, so draws are byte-equal to the
+    oracle); writes go through to the sparse backing at once and to
+    every cached line they touch; ``gather`` and ``nonzero`` are the
+    backing's.
 
 The ``auto`` policy (:func:`resolve_block_storage`) is not an engine:
 it resolves to ``dense`` or ``hybrid`` from (C, density, memory budget)
@@ -147,51 +152,29 @@ class RowCDF:
         return self.cols[idx]
 
 
+def _int64(*arrays) -> list[IntArray]:
+    """Each argument as an int64 array (no copy when it already is one)."""
+    return [np.asarray(a, dtype=np.int64) for a in arrays]
+
+
 class BlockState(ABC):
     """Storage contract for the inter-block edge-count matrix.
 
     All values are int64 edge counts; ``get(r, c)`` is the cell the
-    dense oracle calls ``B[r, c]``. Mutators must keep every count
-    non-negative (a negative count means the caller's delta accounting
-    is wrong) and must leave subsequent reads exactly equal to the dense
-    engine's after the same call sequence.
+    dense oracle calls ``B[r, c]``. An engine implements the seven
+    abstract primitives; every other method is derived from them here.
+    Writes must leave subsequent reads exactly equal to the dense
+    engine's after the same call sequence, and a write that drives a
+    count negative is a bug in the caller's delta accounting.
     """
 
     name: str = "abstract"
     num_blocks: int
 
-    # -- reads ----------------------------------------------------------
-    @abstractmethod
-    def get(self, r: int, c: int) -> int:
-        """Scalar cell read ``B[r, c]``."""
-
-    @abstractmethod
-    def row_gather(self, r: int, cols: IntArray) -> IntArray:
-        """Batched row read ``B[r, cols]`` (fresh array)."""
-
-    @abstractmethod
-    def col_gather(self, c: int, rows: IntArray) -> IntArray:
-        """Batched column read ``B[rows, c]`` (fresh array)."""
-
+    # -- primitives -----------------------------------------------------
     @abstractmethod
     def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
         """Elementwise read ``B[rows[i], cols[i]]`` (fresh array)."""
-
-    @abstractmethod
-    def dense_row(self, r: int) -> IntArray:
-        """Row ``r`` as a dense length-C vector (fresh array)."""
-
-    @abstractmethod
-    def dense_col(self, c: int) -> IntArray:
-        """Column ``c`` as a dense length-C vector (fresh array)."""
-
-    @abstractmethod
-    def diagonal(self) -> IntArray:
-        """The diagonal ``B[i, i]`` as a length-C vector (fresh array)."""
-
-    @abstractmethod
-    def sym_row_cdf(self, u: int) -> RowCDF:
-        """Prefix-sum CDF of the symmetrized row ``B[u, :] + B[:, u]``."""
 
     @abstractmethod
     def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
@@ -203,18 +186,84 @@ class BlockState(ABC):
         """
 
     @abstractmethod
+    def sym_row_cdf(self, u: int) -> RowCDF:
+        """Prefix-sum CDF of the symmetrized row ``B[u, :] + B[:, u]``."""
+
+    @abstractmethod
+    def add_cells(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
+        """Add int64 ``deltas[i]`` to cell ``(rows[i], cols[i])``.
+
+        Duplicate cells accumulate. The sparse-backed engines raise
+        :class:`~repro.errors.BlockmodelError` when a count would go
+        negative; the dense engine does not audit.
+        """
+
+    @abstractmethod
+    def copy(self) -> "BlockState":
+        """An independent deep copy."""
+
+    @classmethod
+    @abstractmethod
+    def from_triplets(
+        cls, rows: IntArray, cols: IntArray, vals: IntArray, num_blocks: int
+    ) -> "BlockState":
+        """Build from ``(row, col, count)`` triplets; duplicates accumulate."""
+
+    @abstractmethod
+    def memory_bytes(self) -> int:
+        """Approximate resident bytes of the storage structure."""
+
+    # -- reads derived from gather --------------------------------------
+    def get(self, r: int, c: int) -> int:
+        """Scalar cell read ``B[r, c]``."""
+        return int(self.gather(np.array([r], dtype=np.int64),
+                               np.array([c], dtype=np.int64))[0])
+
+    def row_gather(self, r: int, cols: IntArray) -> IntArray:
+        """Batched row read ``B[r, cols]`` (fresh array)."""
+        cols = np.asarray(cols, dtype=np.int64)
+        return self.gather(np.full(cols.shape, r, dtype=np.int64), cols)
+
+    def col_gather(self, c: int, rows: IntArray) -> IntArray:
+        """Batched column read ``B[rows, c]`` (fresh array)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return self.gather(rows, np.full(rows.shape, c, dtype=np.int64))
+
+    def dense_row(self, r: int) -> IntArray:
+        """Row ``r`` as a dense length-C vector (fresh array)."""
+        return self.row_gather(r, np.arange(self.num_blocks, dtype=np.int64))
+
+    def dense_col(self, c: int) -> IntArray:
+        """Column ``c`` as a dense length-C vector (fresh array)."""
+        return self.col_gather(c, np.arange(self.num_blocks, dtype=np.int64))
+
+    def diagonal(self) -> IntArray:
+        """The diagonal ``B[i, i]`` as a length-C vector (fresh array)."""
+        idx = np.arange(self.num_blocks, dtype=np.int64)
+        return self.gather(idx, idx)
+
+    # -- reads derived from nonzero -------------------------------------
     def row_sums(self) -> IntArray:
         """Per-row totals (the out-degree vector)."""
+        rows, _, vals = self.nonzero()
+        out = np.zeros(self.num_blocks, dtype=np.int64)
+        np.add.at(out, rows, vals)
+        return out
 
-    @abstractmethod
     def col_sums(self) -> IntArray:
         """Per-column totals (the in-degree vector)."""
+        _, cols, vals = self.nonzero()
+        out = np.zeros(self.num_blocks, dtype=np.int64)
+        np.add.at(out, cols, vals)
+        return out
 
-    @abstractmethod
     def to_dense(self) -> np.ndarray:
         """A dense int64 copy of the matrix."""
+        rows, cols, vals = self.nonzero()
+        out = np.zeros((self.num_blocks, self.num_blocks), dtype=np.int64)
+        out[rows, cols] = vals
+        return out
 
-    @abstractmethod
     def likelihood_matrix(self) -> np.ndarray:
         """Dense int64 matrix for MDL evaluation.
 
@@ -223,9 +272,29 @@ class BlockState(ABC):
         even sparse engines hand it a dense materialization (the dense
         engine returns its live array, no copy).
         """
+        return self.to_dense()
 
-    # -- mutations ------------------------------------------------------
-    @abstractmethod
+    @property
+    def nnz(self) -> int:
+        """Number of non-zero cells."""
+        return int(self.nonzero()[0].shape[0])
+
+    @property
+    def total(self) -> int:
+        """Sum of all counts (the number of edges)."""
+        return int(self.nonzero()[2].sum())
+
+    @property
+    def density(self) -> float:
+        """``nnz / C^2`` (0 for an empty matrix)."""
+        c = self.num_blocks
+        return float(self.nnz) / float(c * c) if c else 0.0
+
+    def equals_dense(self, dense: np.ndarray) -> bool:
+        """Exact comparison against a dense reference matrix."""
+        return bool(np.array_equal(self.to_dense(), dense))
+
+    # -- writes derived from add_cells ----------------------------------
     def apply_move(
         self,
         r: int,
@@ -239,10 +308,19 @@ class BlockState(ABC):
         """Move one vertex's incident counts from block ``r`` to ``s``.
 
         Arguments mirror :meth:`repro.sbm.blockmodel.Blockmodel.
-        apply_move` (degree vectors live in the blockmodel, not here).
+        apply_move` (degree vectors live in the blockmodel, not here):
+        cells ``(r, t_out)`` move to ``(s, t_out)``, ``(t_in, r)`` to
+        ``(t_in, s)`` and ``loops`` self-loops from ``(r, r)`` to
+        ``(s, s)``.
         """
+        t_out, c_out, t_in, c_in = _int64(t_out, c_out, t_in, c_in)
+        rs = np.asarray([r, s], dtype=np.int64)
+        self.add_cells(
+            np.concatenate([np.repeat(rs, t_out.shape[0]), t_in, t_in, rs]),
+            np.concatenate([t_out, t_out, np.repeat(rs, t_in.shape[0]), rs]),
+            np.concatenate([-c_out, c_out, -c_in, c_in, [-loops, loops]]),
+        )
 
-    @abstractmethod
     def scatter_edges(
         self,
         old_src: IntArray,
@@ -251,56 +329,59 @@ class BlockState(ABC):
         new_dst: IntArray,
     ) -> None:
         """Batch sweep delta-apply: ``-1`` at old pairs, ``+1`` at new."""
+        old_src, old_dst, new_src, new_dst = _int64(old_src, old_dst, new_src, new_dst)
+        self.add_cells(
+            np.concatenate([old_src, new_src]),
+            np.concatenate([old_dst, new_dst]),
+            np.repeat(np.asarray([-1, 1], dtype=np.int64),
+                      [old_src.shape[0], new_src.shape[0]]),
+        )
 
-    @abstractmethod
     def merge_into(self, r: int, s: int) -> None:
         """Fold row/column ``r`` into ``s`` and zero block ``r``."""
+        row, col = self.dense_row(r), self.dense_col(r)
+        col[r] = 0  # the (r, r) cell moves with the row
+        t_row, t_col = np.flatnonzero(row), np.flatnonzero(col)
+        rs = np.asarray([r, s], dtype=np.int64)
+        # Row r cells (r, t) move to (s, t) — the diagonal to (s, s);
+        # column r cells (t, r) move to (t, s).
+        self.add_cells(
+            np.concatenate([np.repeat(rs, t_row.shape[0]), t_col, t_col]),
+            np.concatenate([t_row, np.where(t_row == r, s, t_row),
+                            np.repeat(rs, t_col.shape[0])]),
+            np.concatenate([-row[t_row], row[t_row], -col[t_col], col[t_col]]),
+        )
 
-    @abstractmethod
+    # -- transitions derived from from_triplets -------------------------
     def compact(self, keep: IntArray, mapping: IntArray) -> "BlockState":
         """A new state keeping blocks ``keep``, relabeled by ``mapping``."""
+        rows, cols, vals = self.nonzero()
+        rows, cols = mapping[rows], mapping[cols]
+        live = (rows >= 0) & (cols >= 0)
+        return self.from_triplets(
+            rows[live], cols[live], vals[live], int(keep.shape[0])
+        )
 
-    @abstractmethod
-    def copy(self) -> "BlockState":
-        """An independent deep copy."""
-
-    # -- construction ---------------------------------------------------
     @classmethod
-    @abstractmethod
     def from_edges(
         cls, src_blocks: IntArray, dst_blocks: IntArray, num_blocks: int
     ) -> "BlockState":
         """Count block-pair edges from aligned endpoint-block arrays."""
+        src_blocks, dst_blocks = _int64(src_blocks, dst_blocks)
+        ones = np.ones(src_blocks.shape[0], dtype=np.int64)
+        return cls.from_triplets(src_blocks, dst_blocks, ones, num_blocks)
 
     @classmethod
-    @abstractmethod
     def from_dense(cls, dense: np.ndarray) -> "BlockState":
         """Build from a dense int64 matrix (serialization round-trip)."""
-
-    # -- observability --------------------------------------------------
-    @property
-    @abstractmethod
-    def nnz(self) -> int:
-        """Number of non-zero cells."""
-
-    @property
-    def density(self) -> float:
-        """``nnz / C^2`` (0 for an empty matrix)."""
-        c = self.num_blocks
-        return float(self.nnz) / float(c * c) if c else 0.0
-
-    @property
-    @abstractmethod
-    def total(self) -> int:
-        """Sum of all counts (the number of edges)."""
-
-    @abstractmethod
-    def memory_bytes(self) -> int:
-        """Approximate resident bytes of the storage structure."""
-
-    def equals_dense(self, dense: np.ndarray) -> bool:
-        """Exact comparison against a dense reference matrix."""
-        return bool(np.array_equal(self.to_dense(), dense))
+        dense = np.asarray(dense, dtype=np.int64)
+        if (dense < 0).any():
+            raise BlockmodelError("dense matrix has negative counts")
+        rows, cols = np.nonzero(dense)
+        return cls.from_triplets(
+            rows.astype(np.int64), cols.astype(np.int64),
+            dense[rows, cols], int(dense.shape[0]),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +392,10 @@ class DenseBlockState(BlockState):
 
     ``B`` is the live array (not a copy): legacy call sites and tests
     that mutate ``bm.B`` in place observe and affect this engine's real
-    state, exactly as before the refactor.
+    state, exactly as before the refactor. The constructor makes ``B``
+    C-contiguous (a no-op for C-ordered int64 input, so the caller's
+    array stays aliased), because :meth:`add_cells` writes through its
+    flat view.
     """
 
     name = "dense"
@@ -319,41 +403,40 @@ class DenseBlockState(BlockState):
     __slots__ = ("B", "num_blocks")
 
     def __init__(self, B: np.ndarray) -> None:
-        B = np.asarray(B, dtype=np.int64)
+        B = np.ascontiguousarray(B, dtype=np.int64)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise BlockmodelError(f"B must be square, got shape {B.shape}")
         self.B = B
         self.num_blocks = int(B.shape[0])
 
-    # -- reads ----------------------------------------------------------
-    def get(self, r: int, c: int) -> int:
-        return int(self.B[r, c])
-
-    def row_gather(self, r: int, cols: IntArray) -> IntArray:
-        return self.B[r, cols]
-
-    def col_gather(self, c: int, rows: IntArray) -> IntArray:
-        return self.B[rows, c]
-
+    # -- primitives -----------------------------------------------------
     def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
         return self.B[rows, cols]
-
-    def dense_row(self, r: int) -> IntArray:
-        return self.B[r, :].copy()
-
-    def dense_col(self, c: int) -> IntArray:
-        return self.B[:, c].copy()
-
-    def diagonal(self) -> IntArray:
-        return np.diagonal(self.B).copy()
-
-    def sym_row_cdf(self, u: int) -> RowCDF:
-        return RowCDF(None, _K.sym_cdf_dense(self.B, u))
 
     def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
         rows, cols = np.nonzero(self.B)
         return rows.astype(np.int64), cols.astype(np.int64), self.B[rows, cols]
 
+    def sym_row_cdf(self, u: int) -> RowCDF:
+        return RowCDF(None, _K.sym_cdf_dense(self.B, u))
+
+    def add_cells(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
+        rows, cols, deltas = _int64(rows, cols, deltas)
+        _K.index_add(self.B.reshape(-1), rows * self.num_blocks + cols, deltas)
+
+    def copy(self) -> "DenseBlockState":
+        return DenseBlockState(self.B.copy())
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, num_blocks) -> "DenseBlockState":
+        state = cls(np.zeros((num_blocks, num_blocks), dtype=np.int64))
+        state.add_cells(rows, cols, vals)
+        return state
+
+    def memory_bytes(self) -> int:
+        return int(self.B.nbytes)
+
+    # -- faster paths ---------------------------------------------------
     def row_sums(self) -> IntArray:
         return self.B.sum(axis=1)
 
@@ -366,41 +449,6 @@ class DenseBlockState(BlockState):
     def likelihood_matrix(self) -> np.ndarray:
         return self.B
 
-    # -- mutations ------------------------------------------------------
-    def apply_move(self, r, s, t_out, c_out, t_in, c_in, loops) -> None:
-        _K.apply_move_dense(self.B, r, s, t_out, c_out, t_in, c_in, loops)
-
-    def scatter_edges(self, old_src, old_dst, new_src, new_dst) -> None:
-        _K.scatter_dense(self.B, old_src, old_dst, new_src, new_dst)
-
-    def merge_into(self, r: int, s: int) -> None:
-        B = self.B
-        B[s, :] += B[r, :]
-        B[:, s] += B[:, r]
-        # B[r, r] was added to B[s, r] then B[s, r] into B[s, s]; the two
-        # full-row/col adds above handle all cross terms, then we zero r.
-        B[r, :] = 0
-        B[:, r] = 0
-
-    def compact(self, keep: IntArray, mapping: IntArray) -> "DenseBlockState":
-        return DenseBlockState(np.ascontiguousarray(self.B[np.ix_(keep, keep)]))
-
-    def copy(self) -> "DenseBlockState":
-        return DenseBlockState(self.B.copy())
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def from_edges(cls, src_blocks, dst_blocks, num_blocks) -> "DenseBlockState":
-        B = np.zeros((num_blocks, num_blocks), dtype=np.int64)
-        if len(src_blocks):
-            np.add.at(B, (src_blocks, dst_blocks), 1)
-        return cls(B)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "DenseBlockState":
-        return cls(np.asarray(dense, dtype=np.int64).copy())
-
-    # -- observability --------------------------------------------------
     @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.B))
@@ -409,11 +457,12 @@ class DenseBlockState(BlockState):
     def total(self) -> int:
         return int(self.B.sum())
 
-    def memory_bytes(self) -> int:
-        return int(self.B.nbytes)
+    def compact(self, keep: IntArray, mapping: IntArray) -> "DenseBlockState":
+        return DenseBlockState(self.B[np.ix_(keep, keep)])
 
-    def equals_dense(self, dense: np.ndarray) -> bool:
-        return bool(np.array_equal(self.B, dense))
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "DenseBlockState":
+        return cls(np.asarray(dense, dtype=np.int64).copy())
 
 
 # ----------------------------------------------------------------------
@@ -424,11 +473,10 @@ class SparseBlockState(BlockState):
 
     Row ``r``'s non-zeros live in ``_row_cols[r]`` (sorted, unique) and
     ``_row_vals[r]`` (strictly positive); ``_col_rows``/``_col_vals``
-    mirror by column for O(nnz(col)) column gathers. A lazily built flat
-    CSR view (keys ``r * C + c`` in ascending order) serves whole-matrix
-    reads (:meth:`gather`, :meth:`nonzero`, sums); any mutation drops it.
-    The serial per-move path touches only the per-row/per-column arrays,
-    so interleaved propose/apply sequences never pay a flat rebuild.
+    mirror by column, so :meth:`sym_row_cdf` merges two short lines. A
+    lazily built flat CSR view (keys ``r * C + c`` in ascending order)
+    serves :meth:`gather` and :meth:`nonzero`, and so every derived
+    read; any write drops it.
     """
 
     name = "sparse"
@@ -461,17 +509,11 @@ class SparseBlockState(BlockState):
             self._flat = flat
         return self._flat
 
-    # -- reads ----------------------------------------------------------
-    def get(self, r: int, c: int) -> int:
-        cols = self._row_cols[r]
-        pos = int(np.searchsorted(cols, c))
-        if pos < cols.shape[0] and cols[pos] == c:
-            return int(self._row_vals[r][pos])
-        return 0
-
-    @staticmethod
-    def _axis_gather(keys: IntArray, vals: IntArray, wanted: IntArray) -> IntArray:
-        wanted = np.asarray(wanted, dtype=np.int64)
+    # -- primitives -----------------------------------------------------
+    def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
+        rows, cols = _int64(rows, cols)
+        keys, _, _, vals = self._ensure_flat()
+        wanted = rows * self.num_blocks + cols
         out = np.zeros(wanted.shape, dtype=np.int64)
         if keys.shape[0] and wanted.size:
             pos = np.minimum(np.searchsorted(keys, wanted), keys.shape[0] - 1)
@@ -479,31 +521,9 @@ class SparseBlockState(BlockState):
             out[hit] = vals[pos[hit]]
         return out
 
-    def row_gather(self, r: int, cols: IntArray) -> IntArray:
-        return self._axis_gather(self._row_cols[r], self._row_vals[r], cols)
-
-    def col_gather(self, c: int, rows: IntArray) -> IntArray:
-        return self._axis_gather(self._col_rows[c], self._col_vals[c], rows)
-
-    def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        keys, _, _, vals = self._ensure_flat()
-        return self._axis_gather(keys, vals, rows * self.num_blocks + cols)
-
-    def dense_row(self, r: int) -> IntArray:
-        out = np.zeros(self.num_blocks, dtype=np.int64)
-        out[self._row_cols[r]] = self._row_vals[r]
-        return out
-
-    def dense_col(self, c: int) -> IntArray:
-        out = np.zeros(self.num_blocks, dtype=np.int64)
-        out[self._col_rows[c]] = self._col_vals[c]
-        return out
-
-    def diagonal(self) -> IntArray:
-        idx = np.arange(self.num_blocks, dtype=np.int64)
-        return self.gather(idx, idx)
+    def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
+        _, rows, cols, vals = self._ensure_flat()
+        return rows, cols, vals
 
     def sym_row_cdf(self, u: int) -> RowCDF:
         rc, rv = self._row_cols[u], self._row_vals[u]
@@ -519,40 +539,15 @@ class SparseBlockState(BlockState):
             weights[np.searchsorted(cols, cc)] += cv
         return RowCDF(cols, np.cumsum(weights))
 
-    def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
-        _, rows, cols, vals = self._ensure_flat()
-        return rows, cols, vals
+    def add_cells(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
+        """Aggregate the deltas per cell and merge them into both axes.
 
-    def row_sums(self) -> IntArray:
-        _, rows, _, vals = self._ensure_flat()
-        out = np.zeros(self.num_blocks, dtype=np.int64)
-        np.add.at(out, rows, vals)
-        return out
-
-    def col_sums(self) -> IntArray:
-        _, _, cols, vals = self._ensure_flat()
-        out = np.zeros(self.num_blocks, dtype=np.int64)
-        np.add.at(out, cols, vals)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        _, rows, cols, vals = self._ensure_flat()
-        out = np.zeros((self.num_blocks, self.num_blocks), dtype=np.int64)
-        out[rows, cols] = vals
-        return out
-
-    def likelihood_matrix(self) -> np.ndarray:
-        return self.to_dense()
-
-    # -- mutations ------------------------------------------------------
-    def _apply_cell_deltas(self, keys: IntArray, deltas: IntArray) -> None:
-        """Aggregate ``(key, delta)`` pairs and merge them into both axes.
-
-        ``keys`` are flat ``r * C + c`` indices (duplicates allowed);
-        zero aggregate deltas drop out, so the per-row update loops run
+        Zero aggregate deltas drop out, so the per-line update loops run
         over genuinely changed rows/columns only.
         """
-        ukeys, inv = np.unique(keys, return_inverse=True)
+        rows, cols, deltas = _int64(rows, cols, deltas)
+        C = self.num_blocks
+        ukeys, inv = np.unique(rows * C + cols, return_inverse=True)
         agg = np.zeros(ukeys.shape[0], dtype=np.int64)
         np.add.at(agg, inv, deltas)
         live = agg != 0
@@ -560,7 +555,6 @@ class SparseBlockState(BlockState):
             return
         ukeys = ukeys[live]
         agg = agg[live]
-        C = self.num_blocks
         rows = ukeys // C
         cols = ukeys % C
         self._flat = None
@@ -628,58 +622,6 @@ class SparseBlockState(BlockState):
         keys_store[index] = new_cols
         vals_store[index] = new_vals
 
-    def apply_move(self, r, s, t_out, c_out, t_in, c_in, loops) -> None:
-        C = self.num_blocks
-        parts_k = [r * C + t_out, s * C + t_out, t_in * C + r, t_in * C + s]
-        parts_d = [-c_out, c_out, -c_in, c_in]
-        if loops:
-            diag = np.asarray([r * C + r, s * C + s], dtype=np.int64)
-            parts_k.append(diag)
-            parts_d.append(np.asarray([-loops, loops], dtype=np.int64))
-        keys = np.concatenate(parts_k)
-        if keys.size == 0:
-            return
-        self._apply_cell_deltas(keys, np.concatenate(parts_d))
-
-    def scatter_edges(self, old_src, old_dst, new_src, new_dst) -> None:
-        C = self.num_blocks
-        keys = np.concatenate([old_src * C + old_dst, new_src * C + new_dst])
-        if keys.size == 0:
-            return
-        deltas = np.concatenate([
-            np.full(len(old_src), -1, dtype=np.int64),
-            np.full(len(new_src), 1, dtype=np.int64),
-        ])
-        self._apply_cell_deltas(keys, deltas)
-
-    def merge_into(self, r: int, s: int) -> None:
-        C = self.num_blocks
-        rc, rv = self._row_cols[r], self._row_vals[r]
-        cc, cv = self._col_rows[r], self._col_vals[r]
-        off_diag = cc != r  # the (r, r) cell is already in the row view
-        cc, cv = cc[off_diag], cv[off_diag]
-        if rc.shape[0] == 0 and cc.shape[0] == 0:
-            return
-        # Row r cells (r, t) move to (s, t) — the diagonal to (s, s);
-        # column r cells (t, r) move to (t, s).
-        keys = np.concatenate([
-            r * C + rc,
-            s * C + np.where(rc == r, s, rc),
-            cc * C + r,
-            cc * C + s,
-        ])
-        deltas = np.concatenate([-rv, rv, -cv, cv])
-        self._apply_cell_deltas(keys, deltas)
-
-    def compact(self, keep: IntArray, mapping: IntArray) -> "SparseBlockState":
-        _, rows, cols, vals = self._ensure_flat()
-        new_rows = mapping[rows]
-        new_cols = mapping[cols]
-        live = (new_rows >= 0) & (new_cols >= 0)
-        return self._from_triplets(
-            new_rows[live], new_cols[live], vals[live], int(keep.shape[0])
-        )
-
     def copy(self) -> "SparseBlockState":
         out = SparseBlockState(self.num_blocks)
         out._row_cols = [a.copy() for a in self._row_cols]
@@ -688,26 +630,20 @@ class SparseBlockState(BlockState):
         out._col_vals = [a.copy() for a in self._col_vals]
         return out
 
-    # -- construction ---------------------------------------------------
     @classmethod
-    def _from_triplets(
-        cls, rows: IntArray, cols: IntArray, vals: IntArray, num_blocks: int
-    ) -> "SparseBlockState":
-        """Build from triplets with possible duplicate ``(row, col)`` keys."""
+    def from_triplets(cls, rows, cols, vals, num_blocks) -> "SparseBlockState":
+        rows, cols, vals = _int64(rows, cols, vals)
         state = cls(num_blocks)
-        if len(rows) == 0:
+        if rows.shape[0] == 0:
             return state
-        keys = np.asarray(rows, dtype=np.int64) * num_blocks + np.asarray(
-            cols, dtype=np.int64
-        )
-        ukeys, inv = np.unique(keys, return_inverse=True)
+        ukeys, inv = np.unique(rows * num_blocks + cols, return_inverse=True)
         agg = np.zeros(ukeys.shape[0], dtype=np.int64)
         np.add.at(agg, inv, vals)
+        if (agg < 0).any():
+            raise BlockmodelError("negative aggregate count in triplets")
         live = agg > 0
         ukeys = ukeys[live]
         agg = agg[live]
-        if (np.asarray(vals) < 0).any() and (agg < 0).any():
-            raise BlockmodelError("negative aggregate count in triplets")
         urows = ukeys // num_blocks
         ucols = ukeys % num_blocks
         state._fill_axis(state._row_cols, state._row_vals, urows, ucols, agg)
@@ -736,35 +672,6 @@ class SparseBlockState(BlockState):
             line = int(lines[lo])
             keys_store[line] = keys[lo:hi]
             vals_store[line] = vals[lo:hi]
-
-    @classmethod
-    def from_edges(cls, src_blocks, dst_blocks, num_blocks) -> "SparseBlockState":
-        src_blocks = np.asarray(src_blocks, dtype=np.int64)
-        dst_blocks = np.asarray(dst_blocks, dtype=np.int64)
-        ones = np.ones(src_blocks.shape[0], dtype=np.int64)
-        return cls._from_triplets(src_blocks, dst_blocks, ones, num_blocks)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseBlockState":
-        dense = np.asarray(dense, dtype=np.int64)
-        if (dense < 0).any():
-            raise BlockmodelError("dense matrix has negative counts")
-        rows, cols = np.nonzero(dense)
-        return cls._from_triplets(
-            rows.astype(np.int64), cols.astype(np.int64),
-            dense[rows, cols], int(dense.shape[0]),
-        )
-
-    # -- observability --------------------------------------------------
-    @property
-    def nnz(self) -> int:
-        keys, _, _, _ = self._ensure_flat()
-        return int(keys.shape[0])
-
-    @property
-    def total(self) -> int:
-        _, _, _, vals = self._ensure_flat()
-        return int(vals.sum())
 
     def memory_bytes(self) -> int:
         """Resident bytes: line buffers, capacity slack, and the flat cache.
@@ -813,21 +720,24 @@ class HybridBlockState(BlockState):
     axis with an O(1) line → slot lookup array. ``sym_row_cdf`` on a
     cached block is two O(C) adds and a prefix sum, i.e. the dense
     oracle's exact arithmetic, so the returned :class:`RowCDF` is the
-    dense-identity form and draws are byte-equal by construction.
+    dense-identity form and draws are byte-equal by construction. The
+    scalar and line reads go through the same cache.
 
-    Writes go through at once: ``apply_move``/``scatter_edges`` merge
-    the batch into the sparse backing (whose aggregation path audits
-    non-negativity, so a negative count raises at the write, before any
-    cached line changes), then update every cached cell of the batch
-    with one ``np.add.at`` per axis on the 2-D buffer (the slot array
-    turns "which of these lines are cached" into one fancy index — no
-    per-line Python loop). Whole-matrix reads, merges, compaction and
-    copies go straight to the backing. A fit reads the whole state after
-    every write (the next batch-kernel call's ``gather`` or the sweep's
-    MDL), so deferring writes past it would save nothing. With the
-    default budget (``max(256, C // 16)`` lines per axis, capped at C)
-    the buffers top out at ``2 · cache_lines · C · 8`` bytes — 12.5% of
-    the dense matrix at C ≥ 4096.
+    Writes go through at once: :meth:`add_cells` merges the batch into
+    the sparse backing (whose aggregation path audits non-negativity, so
+    a negative count raises at the write, before any cached line
+    changes), then updates every cached cell of the batch with one
+    ``np.add.at`` per axis on the 2-D buffer (the slot array turns
+    "which of these lines are cached" into one fancy index — no
+    per-line Python loop). Cached lines therefore stay exact through
+    every derived write, merges included, and nothing is ever
+    invalidated. ``gather``, ``nonzero`` and copies go straight to the
+    backing. A fit reads the whole state after every write (the next
+    batch-kernel call's ``gather`` or the sweep's MDL), so deferring
+    writes past it would save nothing. With the default budget
+    (``max(256, C // 16)`` lines per axis, capped at C) the buffers top
+    out at ``2 · cache_lines · C · 8`` bytes — 12.5% of the dense matrix
+    at C ≥ 4096.
 
     All writes are int64 edge-count deltas, so write-through order
     cannot affect the resulting cells; bit-identity with the dense oracle
@@ -864,41 +774,14 @@ class HybridBlockState(BlockState):
         self._row_buf: np.ndarray | None = None
         self._col_buf: np.ndarray | None = None
 
-    # -- write-through --------------------------------------------------
-    @staticmethod
-    def _write_through(
-        slots: IntArray,
-        buf: np.ndarray | None,
-        lines: IntArray,
-        keys: IntArray,
-        deltas: IntArray,
-    ) -> None:
-        """Apply a batch to every cached line it touches, in one add.at."""
-        if buf is None:
-            return
-        s = slots[lines]
-        hit = s >= 0
-        if hit.any():
-            np.add.at(buf, (s[hit], keys[hit]), deltas[hit])
-
-    def _record(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
-        """Apply a batch of cell deltas (duplicates allowed).
-
-        The backing goes first, so a delta that drives a cell negative
-        raises before any cached line has changed.
-        """
-        if rows.shape[0] == 0:
-            return
-        self._backing._apply_cell_deltas(rows * self.num_blocks + cols, deltas)
-        self._write_through(self._row_slots, self._row_buf, rows, cols, deltas)
-        self._write_through(self._col_slots, self._col_buf, cols, rows, deltas)
-
     # -- line materialization -------------------------------------------
     def _materialize_axis(
-        self, axis: int, line: int, fetch
+        self, axis: int, line: int, keys_store: list[IntArray],
+        vals_store: list[IntArray],
     ) -> IntArray:
         """Return the cached dense line, materializing (and possibly
-        evicting) on a miss. ``axis`` 0 = rows, 1 = cols."""
+        evicting) on a miss from the backing's line arrays. ``axis`` 0 =
+        rows, 1 = cols."""
         lru = self._row_lru if axis == 0 else self._col_lru
         slot = lru.get(line)
         if slot is not None:
@@ -918,139 +801,62 @@ class HybridBlockState(BlockState):
         else:
             slot = len(lru)
         out = buf[slot]
-        out[:] = fetch(line)
+        out[:] = 0
+        out[keys_store[line]] = vals_store[line]
         lru[line] = slot
         slots[line] = slot
         return out
 
     def _materialize_row(self, r: int) -> IntArray:
-        return self._materialize_axis(0, r, self._backing.dense_row)
+        b = self._backing
+        return self._materialize_axis(0, r, b._row_cols, b._row_vals)
 
     def _materialize_col(self, c: int) -> IntArray:
-        return self._materialize_axis(1, c, self._backing.dense_col)
+        b = self._backing
+        return self._materialize_axis(1, c, b._col_rows, b._col_vals)
 
-    def _invalidate_lines(self) -> None:
-        """Drop every cached line."""
-        self._row_lru.clear()
-        self._col_lru.clear()
-        self._row_slots.fill(-1)
-        self._col_slots.fill(-1)
+    @staticmethod
+    def _write_through(
+        slots: IntArray,
+        buf: np.ndarray | None,
+        lines: IntArray,
+        keys: IntArray,
+        deltas: IntArray,
+    ) -> None:
+        """Apply a batch to every cached line it touches, in one add.at."""
+        if buf is None:
+            return
+        s = slots[lines]
+        hit = s >= 0
+        if hit.any():
+            np.add.at(buf, (s[hit], keys[hit]), deltas[hit])
 
-    # -- reads ----------------------------------------------------------
-    def get(self, r: int, c: int) -> int:
-        return int(self._materialize_row(r)[c])
-
-    def row_gather(self, r: int, cols: IntArray) -> IntArray:
-        return self._materialize_row(r)[np.asarray(cols, dtype=np.int64)]
-
-    def col_gather(self, c: int, rows: IntArray) -> IntArray:
-        return self._materialize_col(c)[np.asarray(rows, dtype=np.int64)]
-
+    # -- primitives -----------------------------------------------------
     def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
         return self._backing.gather(rows, cols)
 
-    def dense_row(self, r: int) -> IntArray:
-        return self._materialize_row(r).copy()
-
-    def dense_col(self, c: int) -> IntArray:
-        return self._materialize_col(c).copy()
-
-    def diagonal(self) -> IntArray:
-        return self._backing.diagonal()
+    def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
+        return self._backing.nonzero()
 
     def sym_row_cdf(self, u: int) -> RowCDF:
         row = self._materialize_row(u)
         col = self._materialize_col(u)
         return RowCDF(None, _K.sym_cdf_lines(row, col))
 
-    def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
-        return self._backing.nonzero()
-
-    def row_sums(self) -> IntArray:
-        return self._backing.row_sums()
-
-    def col_sums(self) -> IntArray:
-        return self._backing.col_sums()
-
-    def to_dense(self) -> np.ndarray:
-        return self._backing.to_dense()
-
-    def likelihood_matrix(self) -> np.ndarray:
-        return self._backing.likelihood_matrix()
-
-    # -- mutations ------------------------------------------------------
-    def apply_move(self, r, s, t_out, c_out, t_in, c_in, loops) -> None:
-        t_out = np.asarray(t_out, dtype=np.int64)
-        t_in = np.asarray(t_in, dtype=np.int64)
-        parts_r = [
-            np.full(t_out.shape[0], r, dtype=np.int64),
-            np.full(t_out.shape[0], s, dtype=np.int64),
-            t_in, t_in,
-        ]
-        parts_c = [t_out, t_out,
-                   np.full(t_in.shape[0], r, dtype=np.int64),
-                   np.full(t_in.shape[0], s, dtype=np.int64)]
-        parts_d = [-np.asarray(c_out, dtype=np.int64),
-                   np.asarray(c_out, dtype=np.int64),
-                   -np.asarray(c_in, dtype=np.int64),
-                   np.asarray(c_in, dtype=np.int64)]
-        if loops:
-            diag = np.asarray([r, s], dtype=np.int64)
-            parts_r.append(diag)
-            parts_c.append(diag)
-            parts_d.append(np.asarray([-loops, loops], dtype=np.int64))
-        self._record(
-            np.concatenate(parts_r),
-            np.concatenate(parts_c),
-            np.concatenate(parts_d),
-        )
-
-    def scatter_edges(self, old_src, old_dst, new_src, new_dst) -> None:
-        old_src = np.asarray(old_src, dtype=np.int64)
-        new_src = np.asarray(new_src, dtype=np.int64)
-        rows = np.concatenate([old_src, new_src])
-        if rows.shape[0] == 0:
-            return
-        cols = np.concatenate([
-            np.asarray(old_dst, dtype=np.int64),
-            np.asarray(new_dst, dtype=np.int64),
-        ])
-        deltas = np.concatenate([
-            np.full(old_src.shape[0], -1, dtype=np.int64),
-            np.full(new_src.shape[0], 1, dtype=np.int64),
-        ])
-        self._record(rows, cols, deltas)
-
-    def merge_into(self, r: int, s: int) -> None:
-        self._backing.merge_into(r, s)
-        # Every cached row holds cells at columns r and s, and every
-        # cached column holds cells at rows r and s — all shifted by the
-        # merge, so the whole cache (and every CDF built on it) is stale.
-        self._invalidate_lines()
-
-    def compact(self, keep: IntArray, mapping: IntArray) -> "HybridBlockState":
-        return HybridBlockState(self._backing.compact(keep, mapping))
+    def add_cells(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
+        """The backing first, so a delta that drives a cell negative
+        raises before any cached line has changed; then write-through."""
+        rows, cols, deltas = _int64(rows, cols, deltas)
+        self._backing.add_cells(rows, cols, deltas)
+        self._write_through(self._row_slots, self._row_buf, rows, cols, deltas)
+        self._write_through(self._col_slots, self._col_buf, cols, rows, deltas)
 
     def copy(self) -> "HybridBlockState":
         return HybridBlockState(self._backing.copy(), self.cache_lines)
 
-    # -- construction ---------------------------------------------------
     @classmethod
-    def from_edges(cls, src_blocks, dst_blocks, num_blocks) -> "HybridBlockState":
-        return cls(SparseBlockState.from_edges(src_blocks, dst_blocks, num_blocks))
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "HybridBlockState":
-        return cls(SparseBlockState.from_dense(dense))
-
-    # -- observability --------------------------------------------------
-    @property
-    def nnz(self) -> int:
-        return self._backing.nnz
-
-    @property
-    def total(self) -> int:
-        return self._backing.total
+    def from_triplets(cls, rows, cols, vals, num_blocks) -> "HybridBlockState":
+        return cls(SparseBlockState.from_triplets(rows, cols, vals, num_blocks))
 
     def memory_bytes(self) -> int:
         """Backing + line buffers + lookup arrays."""
@@ -1061,6 +867,22 @@ class HybridBlockState(BlockState):
             if buf is not None:
                 total += int(buf.nbytes) + per_array_overhead
         return total
+
+    # -- line reads through the LRU -------------------------------------
+    def get(self, r: int, c: int) -> int:
+        return int(self._materialize_row(r)[c])
+
+    def row_gather(self, r: int, cols: IntArray) -> IntArray:
+        return self._materialize_row(r)[np.asarray(cols, dtype=np.int64)]
+
+    def col_gather(self, c: int, rows: IntArray) -> IntArray:
+        return self._materialize_col(c)[np.asarray(rows, dtype=np.int64)]
+
+    def dense_row(self, r: int) -> IntArray:
+        return self._materialize_row(r).copy()
+
+    def dense_col(self, c: int) -> IntArray:
+        return self._materialize_col(c).copy()
 
 
 # ----------------------------------------------------------------------

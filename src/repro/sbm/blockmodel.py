@@ -9,7 +9,11 @@ transitions SBP needs:
   (serial Metropolis-Hastings path, paper Alg. 2 / the V* pass of Alg. 4),
 * :meth:`rebuild` — recompute the matrix from an assignment vector in one
   vectorized pass (the per-sweep reconstruction of A-SBP, Alg. 3),
-* :meth:`merge_blocks` / :meth:`compact` — the block-merge phase (Alg. 1).
+* :meth:`compact` — drop empty blocks and relabel densely. The
+  block-merge phase (Alg. 1) applies its merges by relabeling the
+  assignment and rebuilding through :meth:`from_assignment`;
+  :meth:`merge_blocks`, the in-place fold of one block into another, is
+  not on that path.
 
 Storage is selected at construction (``storage="dense"``,
 ``"sparse"``, ``"hybrid"`` or ``"auto"``, which resolves at the block

@@ -10,9 +10,10 @@ kernels (paper §2.2's "computing dMDL and the subsequent updates to B"):
 * **scalar delta-MDL accumulation** — the ``x log x`` terms and the
   strictly left-to-right ``_seq_sum`` reduction of
   :mod:`repro.sbm.delta`;
-* **the O(deg) move scatter** — ``apply_move`` / ``scatter_edges``
-  index-add loops (:mod:`repro.sbm.incremental` and the storage
-  engines).
+* **the duplicate-safe index add** — every dense-engine write
+  (``BlockState.add_cells`` on the flat view of ``B``, so
+  ``apply_move``, ``scatter_edges`` and the rebuilds) and the barrier's
+  degree-vector updates (:mod:`repro.sbm.incremental`).
 
 This module publishes one dispatch name per kernel. At import time it
 selects, per kernel, either a ``numba.njit(cache=True)`` implementation
@@ -52,8 +53,6 @@ __all__ = [
     "seq_sum",
     "xlogx_scalar",
     "xlogx_counts",
-    "apply_move_dense",
-    "scatter_dense",
     "index_add",
     "index_sub",
 ]
@@ -95,23 +94,6 @@ def _seq_sum_np(terms: np.ndarray) -> float:
 def _xlogx_scalar_np(x: float) -> float:
     """``x log x`` with the ``0 log 0 = 0`` convention, scalar form."""
     return 0.0 if x <= 0 else float(x * np.log(x))
-
-
-def _apply_move_dense_np(B, r, s, t_out, c_out, t_in, c_in, loops) -> None:
-    """The dense oracle's O(deg) vertex-move update, verbatim."""
-    B[r, t_out] -= c_out
-    B[s, t_out] += c_out
-    B[t_in, r] -= c_in
-    B[t_in, s] += c_in
-    if loops:
-        B[r, r] -= loops
-        B[s, s] += loops
-
-
-def _scatter_dense_np(B, old_src, old_dst, new_src, new_dst) -> None:
-    """The dense oracle's sweep-barrier scatter, verbatim."""
-    np.subtract.at(B, (old_src, old_dst), 1)
-    np.add.at(B, (new_src, new_dst), 1)
 
 
 def _index_add_np(target: np.ndarray, idx: np.ndarray, vals) -> None:
@@ -213,25 +195,6 @@ if _njit is not None:  # pragma: no cover - exercised by the CI kernels job
         return out
 
     @_njit(cache=True)
-    def _apply_move_dense_nb(B, r, s, t_out, c_out, t_in, c_in, loops):
-        for i in range(t_out.shape[0]):
-            B[r, t_out[i]] -= c_out[i]
-            B[s, t_out[i]] += c_out[i]
-        for i in range(t_in.shape[0]):
-            B[t_in[i], r] -= c_in[i]
-            B[t_in[i], s] += c_in[i]
-        if loops:
-            B[r, r] -= loops
-            B[s, s] += loops
-
-    @_njit(cache=True)
-    def _scatter_dense_nb(B, old_src, old_dst, new_src, new_dst):
-        for i in range(old_src.shape[0]):
-            B[old_src[i], old_dst[i]] -= 1
-        for i in range(new_src.shape[0]):
-            B[new_src[i], new_dst[i]] += 1
-
-    @_njit(cache=True)
     def _index_add_nb(target, idx, vals):
         for i in range(idx.shape[0]):
             target[idx[i]] += vals[i]
@@ -277,8 +240,6 @@ if _njit is not None:  # pragma: no cover - exercised by the CI kernels job
     _sym_cdf_dense_jit = _sym_cdf_dense_nb
     _sym_cdf_lines_jit = _sym_cdf_lines_nb
     _cdf_index_jit = _cdf_index_nb
-    _apply_move_dense_jit = _apply_move_dense_nb
-    _scatter_dense_jit = _scatter_dense_nb
     _index_add_jit = _index_add_nb
     _index_sub_jit = _index_sub_nb
 else:
@@ -289,8 +250,6 @@ else:
     _sym_cdf_dense_jit = None
     _sym_cdf_lines_jit = None
     _cdf_index_jit = None
-    _apply_move_dense_jit = None
-    _scatter_dense_jit = None
     _index_add_jit = None
     _index_sub_jit = None
 
@@ -307,12 +266,6 @@ seq_sum = _select("seq_sum", _seq_sum_np, _seq_sum_jit)
 xlogx_scalar = _select("xlogx_scalar", _xlogx_scalar_np, _xlogx_scalar_jit)
 #: Vectorized ``x log x`` over count arrays (generic delta terms).
 xlogx_counts = _select("xlogx_counts", _xlogx_counts_np, _xlogx_counts_jit)
-#: Dense-engine O(deg) vertex-move update.
-apply_move_dense = _select(
-    "apply_move_dense", _apply_move_dense_np, _apply_move_dense_jit
-)
-#: Dense-engine sweep-barrier edge scatter.
-scatter_dense = _select("scatter_dense", _scatter_dense_np, _scatter_dense_jit)
 #: Duplicate-accumulating ``target[idx] += vals``.
 index_add = _select("index_add", _index_add_np, _index_add_jit)
 #: Duplicate-accumulating ``target[idx] -= vals``.

@@ -23,8 +23,7 @@ from repro.sbm.entropy import xlogx_counts as entropy_xlogx
 
 _NAMES = (
     "sym_cdf_dense", "sym_cdf_lines", "cdf_index", "seq_sum",
-    "xlogx_scalar", "xlogx_counts", "apply_move_dense", "scatter_dense",
-    "index_add", "index_sub",
+    "xlogx_scalar", "xlogx_counts", "index_add", "index_sub",
 )
 
 
@@ -123,39 +122,6 @@ class TestFloatKernels:
 
 
 class TestScatterKernels:
-    def _random_B(self, seed=11, C=13):
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 7, size=(C, C)).astype(np.int64), rng
-
-    def test_apply_move_matches_fancy_index_reference(self):
-        B, rng = self._random_B()
-        expect = B.copy()
-        t_out = np.asarray([2, 5, 9], dtype=np.int64)
-        c_out = np.asarray([1, 2, 1], dtype=np.int64)
-        t_in = np.asarray([3, 5], dtype=np.int64)
-        c_in = np.asarray([2, 1], dtype=np.int64)
-        r, s, loops = 0, 4, 2
-        np.subtract.at(expect[r, :], t_out, c_out)
-        np.add.at(expect[s, :], t_out, c_out)
-        np.subtract.at(expect[:, r], t_in, c_in)
-        np.add.at(expect[:, s], t_in, c_in)
-        expect[r, r] -= loops
-        expect[s, s] += loops
-        K.apply_move_dense(B, r, s, t_out, c_out, t_in, c_in, loops)
-        assert_array_equal(B, expect)
-
-    def test_scatter_matches_ufunc_at_reference(self):
-        B, rng = self._random_B(seed=12)
-        expect = B.copy()
-        old_src = rng.integers(0, 13, 20).astype(np.int64)
-        old_dst = rng.integers(0, 13, 20).astype(np.int64)
-        new_src = rng.integers(0, 13, 20).astype(np.int64)
-        new_dst = rng.integers(0, 13, 20).astype(np.int64)
-        np.subtract.at(expect, (old_src, old_dst), 1)
-        np.add.at(expect, (new_src, new_dst), 1)
-        K.scatter_dense(B, old_src, old_dst, new_src, new_dst)
-        assert_array_equal(B, expect)
-
     def test_index_add_sub_handle_duplicates(self):
         target = np.arange(10, dtype=np.int64)
         idx = np.asarray([1, 1, 3, 1], dtype=np.int64)
@@ -180,7 +146,6 @@ class TestNumbaParity:
         # Integer kernels are exact in any implementation and must be
         # jitted unconditionally when numba imports.
         for name in ("sym_cdf_dense", "sym_cdf_lines", "cdf_index",
-                     "apply_move_dense", "scatter_dense",
                      "index_add", "index_sub"):
             assert table[name] == "numba", f"{name} not jitted"
 
