@@ -28,12 +28,13 @@ Run ``python benchmarks/bench_storage_crossover.py`` (full: C up to
 C up to 1024, fewer repetitions, no bounds).
 
 ``--whole-fit`` measures whole A-SBP ``run_sbp`` fits of planted DCSBMs
-instead: V=2100 on dense, hybrid and auto, V=10,000 on hybrid and auto
-(``--quick``: the V=2100 hybrid and auto rows only). ``auto`` starts
-on hybrid at both sizes and runs dense once C <= 2048. Each fit runs in
-a fresh process so its peak RSS is its own; the rows record seconds,
-the ``barrier_apply`` bucket and peak RSS, and the harness asserts that
-every engine of a size returns the same assignment and MDL.
+instead: V=2100 on dense, sparse, hybrid and auto, V=10,000 on sparse,
+hybrid and auto (``--quick``: the V=2100 sparse, hybrid and auto rows
+only). ``auto`` starts on hybrid at both sizes and runs dense once
+C <= 2048. Each fit runs in a fresh process so its peak RSS is its own;
+the rows record seconds, the ``barrier_apply`` bucket and peak RSS, and
+the harness asserts that every engine of a size returns the same
+assignment and MDL.
 """
 
 from __future__ import annotations
@@ -220,8 +221,11 @@ def render(rows: list[dict]) -> str:
 
 
 #: (V, engines) of the whole-fit rows.
-WHOLE_FIT_CASES = [(2100, ("dense", "hybrid", "auto")), (10_000, ("hybrid", "auto"))]
-QUICK_WHOLE_FIT_CASES = [(2100, ("hybrid", "auto"))]
+WHOLE_FIT_CASES = [
+    (2100, ("dense", "sparse", "hybrid", "auto")),
+    (10_000, ("sparse", "hybrid", "auto")),
+]
+QUICK_WHOLE_FIT_CASES = [(2100, ("sparse", "hybrid", "auto"))]
 WHOLE_FIT_GRAPH_SEED = 3
 WHOLE_FIT_CHAIN_SEED = 7
 
