@@ -18,6 +18,7 @@ from repro.sbm.block_storage import (
     BlockState,
     DenseBlockState,
     HybridBlockState,
+    RowCDF,
     SparseBlockState,
 )
 
@@ -60,6 +61,22 @@ def _ref_matrix(C: int = 7, seed: int = 5) -> np.ndarray:
     B = rng.integers(0, 6, size=(C, C)).astype(np.int64)
     B[rng.random((C, C)) < 0.4] = 0
     return B
+
+
+def _assert_lines_and_triplets_match(state, ref: np.ndarray) -> None:
+    """Every line's ``sym_row_cdf`` draws and ``nonzero()`` agree with ``ref``."""
+    grid = np.linspace(0.0, 0.9999, 37)
+    for u in range(ref.shape[0]):
+        dense_cdf = RowCDF(None, np.cumsum(ref[u, :] + ref[:, u]))
+        cdf = state.sym_row_cdf(u)
+        assert cdf.total == dense_cdf.total
+        if cdf.total > 0:
+            assert_array_equal(cdf.draw_many(grid), dense_cdf.draw_many(grid))
+    rows, cols = np.nonzero(ref)
+    nz_rows, nz_cols, nz_vals = state.nonzero()
+    assert_array_equal(nz_rows, rows)
+    assert_array_equal(nz_cols, cols)
+    assert_array_equal(nz_vals, ref[rows, cols])
 
 
 class TestShape:
@@ -123,8 +140,10 @@ class TestAddCells:
         state.add_cells(rows, cols, deltas)
         np.add.at(ref, (rows, cols), deltas)
         assert_array_equal(state.to_dense(), ref)
+        _assert_lines_and_triplets_match(state, ref)
         state.add_cells(rows, cols, -deltas)  # and back, zeros included
         assert_array_equal(state.to_dense(), _ref_matrix())
+        _assert_lines_and_triplets_match(state, _ref_matrix())
         assert state.nnz == np.count_nonzero(_ref_matrix())
 
     @pytest.mark.parametrize("engine", [SparseBlockState, HybridBlockState],
