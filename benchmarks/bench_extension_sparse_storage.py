@@ -51,8 +51,6 @@ def storage_rows(seed: int = 0):
         for _ in range(5):
             sparse = SparseBlockState.from_edges(src_blocks, dst_blocks, C)
         sparse_rebuild = (time.perf_counter() - start) / 5
-        # Footprint as rebuilt: the move burst below leaves row-capacity
-        # slack and reading ``density`` materializes the flat-CSR cache.
         sparse_bytes = sparse.memory_bytes()
 
         # burst of 200 random move updates on each representation

@@ -71,7 +71,6 @@ class TestLogLikelihood:
 
     def test_perfectly_assortative_is_high(self):
         B_struct = np.diag([5, 5]).astype(np.int64)
-        B_flat = np.full((2, 2), 5 // 2 + 1)[:2, :2]  # not used; clarity
         ll_struct = dcsbm_log_likelihood(B_struct, B_struct.sum(1), B_struct.sum(0))
         B_mixed = np.array([[3, 2], [2, 3]])
         ll_mixed = dcsbm_log_likelihood(B_mixed, B_mixed.sum(1), B_mixed.sum(0))
