@@ -16,12 +16,9 @@ that path; this bench measures, at E = 8C planted edges per size:
   cold (fresh) and warm (after a sweep burst populated the LRU line
   caches — the steady-state footprint),
 
-and asserts all engines stay cell-for-cell equal per size. Every row
-records whether the ``repro.sbm.kernels`` dispatch selected numba jits
-(``jit: true``) or the numpy fallbacks, so checked-in entries are
-comparable across environments. The crossover C where each engine
-starts winning is recorded in ``BENCH_storage_crossover.json`` and
-discussed in DESIGN.md §5.
+and asserts all engines stay cell-for-cell equal per size. The
+crossover C where each engine starts winning is recorded in
+``BENCH_storage_crossover.json`` and discussed in DESIGN.md §5.
 
 Run ``python benchmarks/bench_storage_crossover.py`` (full: C up to
 8192, enforces the PR-6 acceptance bounds) or ``--quick`` (CI smoke:
@@ -53,7 +50,6 @@ from repro.core.sbp import run_sbp
 from repro.core.variants import SBPConfig
 from repro.generators import DCSBMParams, generate_dcsbm
 from repro.graph.graph import Graph
-from repro.sbm import kernels
 from repro.sbm.block_storage import (
     DenseBlockState,
     HybridBlockState,
@@ -136,7 +132,6 @@ def crossover_rows(sizes: list[int], reps: int) -> list[dict]:
         assert np.array_equal(hybrid.to_dense(), dense.to_dense()), (
             f"hybrid diverges at C={C}"
         )
-        row["jit"] = kernels.jit_enabled()
         row["density"] = round(dense.density, 4)
         row["dense_bytes"] = dense.memory_bytes()
         row["sparse_bytes"] = sparse.memory_bytes()
@@ -213,10 +208,9 @@ def render(rows: list[dict]) -> str:
         }
         for r in rows
     ]
-    jit = "numba jits" if rows and rows[0]["jit"] else "numpy kernels"
     return format_table(
         table,
-        title=f"dense vs sparse vs hybrid storage across C (E = 8C, {jit})",
+        title="dense vs sparse vs hybrid storage across C (E = 8C, numpy kernels)",
     )
 
 

@@ -13,5 +13,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={"jit": ["numba>=0.59"]},
 )

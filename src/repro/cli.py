@@ -118,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--block-storage", default="auto",
                         choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE],
                         help="inter-block matrix engine: dense C x C arrays, "
-                             "per-row sparse arrays, or the hybrid cached "
+                             "two flat sorted layouts of the non-zero cells "
+                             "(keys r*C+c and c*C+r, 32 bytes per cell), or "
+                             "the hybrid cached "
                              "engine (bit-identical results; memory/time "
                              "trade-off); 'auto' (the default) picks "
                              "dense/hybrid from the current block count, "

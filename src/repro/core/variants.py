@@ -93,8 +93,9 @@ class SBPConfig:
     block_storage:
         Inter-block matrix storage engine from the
         :mod:`repro.sbm.block_storage` registry: 'dense' (contiguous
-        C x C int64, the oracle), 'sparse' (per-row non-zero arrays,
-        O(nnz) memory) or 'hybrid' (LRU dense line cache written through
+        C x C int64, the oracle), 'sparse' (two flat sorted layouts
+        of the non-zero cells, keys r*C+c and c*C+r, 32 bytes per
+        non-zero cell) or 'hybrid' (LRU dense line cache written through
         to a sparse backing). Trajectories are bit-identical;
         only memory and wall-clock differ. 'auto' defers the choice to
         :func:`~repro.sbm.block_storage.resolve_block_storage`, which

@@ -27,12 +27,11 @@ from repro.graph.graph import Graph
 from repro.parallel.backend import ExecutionBackend, register_backend
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.entropy import xlogx_counts as _g
+from repro.sbm.moves import MAX_EXPONENT as _MAX_EXPONENT
 from repro.types import IntArray
 from repro.utils.arrays import expand_ranges as _expand_ranges
 
 __all__ = ["VectorizedBackend"]
-
-_MAX_EXPONENT = 700.0
 
 
 class VectorizedBackend(ExecutionBackend):

@@ -84,7 +84,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import BackendError, BlockmodelError
-from repro.sbm import kernels as _K
 from repro.types import IntArray
 from repro.utils.registry import Registry
 
@@ -139,7 +138,7 @@ class RowCDF:
         if total <= 0:
             return fallback
         q = min(int(uniform * total), total - 1)
-        idx = int(_K.cdf_index(self.cdf, q))
+        idx = int(np.searchsorted(self.cdf, q, side="right"))
         return idx if self.cols is None else int(self.cols[idx])
 
     def draw_many(self, uniforms: np.ndarray) -> IntArray:
@@ -419,11 +418,11 @@ class DenseBlockState(BlockState):
         return rows.astype(np.int64), cols.astype(np.int64), self.B[rows, cols]
 
     def sym_row_cdf(self, u: int) -> RowCDF:
-        return RowCDF(None, _K.sym_cdf_dense(self.B, u))
+        return RowCDF(None, np.cumsum(self.B[u, :] + self.B[:, u]))
 
     def add_cells(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
         rows, cols, deltas = _int64(rows, cols, deltas)
-        _K.index_add(self.B.reshape(-1), rows * self.num_blocks + cols, deltas)
+        np.add.at(self.B.reshape(-1), rows * self.num_blocks + cols, deltas)
 
     def copy(self) -> "DenseBlockState":
         return DenseBlockState(self.B.copy())
@@ -726,7 +725,7 @@ class HybridBlockState(BlockState):
     def sym_row_cdf(self, u: int) -> RowCDF:
         row = self._dense_line(0, u)
         col = self._dense_line(1, u)
-        return RowCDF(None, _K.sym_cdf_lines(row, col))
+        return RowCDF(None, np.cumsum(row + col))
 
     def add_cells(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
         """The backing first, so a delta that drives a cell negative

@@ -18,11 +18,13 @@ transitions SBP needs:
 Storage is selected at construction (``storage="dense"``,
 ``"sparse"``, ``"hybrid"`` or ``"auto"``, which resolves at the block
 count being built; see :mod:`repro.sbm.block_storage`): dense keeps the
-original contiguous C x C oracle, sparse keeps per-row non-zero arrays
-whose footprint scales with nnz rather than C^2. All engines produce
-bit-identical trajectories. The :attr:`B` property preserves the legacy
-dense view — for the dense engine it is the *live* array (in-place pokes
-keep working); for sparse engines it is a dense materialization.
+original contiguous C x C oracle, sparse keeps the non-zero cells in
+two flat sorted layouts (keys ``r*C+c`` and ``c*C+r``) at 32 bytes per
+non-zero cell, so its footprint scales with nnz rather than C^2. All
+engines produce bit-identical trajectories. The :attr:`B` property
+preserves the legacy dense view — for the dense engine it is the *live*
+array (in-place pokes keep working); for sparse engines it is a dense
+materialization.
 """
 
 from __future__ import annotations

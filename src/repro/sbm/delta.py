@@ -31,20 +31,9 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.sbm.blockmodel import Blockmodel
+from repro.sbm.entropy import xlogx_counts as _g
 from repro.types import FloatArray, IntArray
 from repro.utils.arrays import expand_ranges
-
-# The x log x kernels and the strictly left-to-right reduction live in
-# repro.sbm.kernels now: `_g` vectorized over count arrays, `_g_scalar`
-# for corner/degree cells, `_seq_sum` as the cumsum-discipline float sum
-# (pairwise np.sum rounds differently from the sequential accumulation
-# the vectorized backend uses, so the reduction order is part of the
-# bit-identity contract). With jit off every name is the pre-existing
-# numpy expression; the jitted versions only engage after a bitwise
-# parity probe.
-from repro.sbm.kernels import seq_sum as _seq_sum
-from repro.sbm.kernels import xlogx_counts as _g
-from repro.sbm.kernels import xlogx_scalar as _g_scalar
 
 __all__ = [
     "VertexMoveContext",
@@ -54,6 +43,23 @@ __all__ = [
     "merge_delta",
     "merge_delta_batch",
 ]
+
+
+def _seq_sum(terms: np.ndarray) -> float:
+    """Strictly left-to-right float sum (``cumsum``'s last element).
+
+    Pairwise ``np.sum`` rounds differently from the sequential
+    accumulation the vectorized backend uses, so the reduction order is
+    part of the bit-identity contract.
+    """
+    if terms.size == 0:
+        return 0.0
+    return float(np.cumsum(terms)[-1])
+
+
+def _g_scalar(x: float) -> float:
+    """``x log x`` with the ``0 log 0 = 0`` convention, scalar form."""
+    return 0.0 if x <= 0 else float(x * np.log(x))
 
 
 @dataclass

@@ -39,10 +39,7 @@ __all__ = [
 
 def xlogx(x: np.ndarray | float) -> np.ndarray | float:
     """Elementwise ``x * log(x)`` with the convention ``0 log 0 = 0``."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(arr)
-    mask = arr > 0
-    np.multiply(arr, np.log(arr, where=mask, out=np.zeros_like(arr)), where=mask, out=out)
+    out = xlogx_counts(x)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.parallel.backend import SweepUpdater, register_update_strategy
-from repro.sbm import kernels as _K
 from repro.sbm.blockmodel import Blockmodel
 from repro.types import IntArray
 from repro.utils.arrays import expand_ranges
@@ -109,13 +108,13 @@ def apply_sweep_delta(
 
     deg_out = graph.out_degree[moved_vertices]
     deg_in = graph.in_degree[moved_vertices]
-    _K.index_sub(bm.d_out, old_blocks, deg_out)
-    _K.index_add(bm.d_out, moved_targets, deg_out)
-    _K.index_sub(bm.d_in, old_blocks, deg_in)
-    _K.index_add(bm.d_in, moved_targets, deg_in)
+    np.subtract.at(bm.d_out, old_blocks, deg_out)
+    np.add.at(bm.d_out, moved_targets, deg_out)
+    np.subtract.at(bm.d_in, old_blocks, deg_in)
+    np.add.at(bm.d_in, moved_targets, deg_in)
     deg = deg_out + deg_in
-    _K.index_sub(bm.d, old_blocks, deg)
-    _K.index_add(bm.d, moved_targets, deg)
+    np.subtract.at(bm.d, old_blocks, deg)
+    np.add.at(bm.d, moved_targets, deg)
 
 
 def apply_edge_delta(bm: Blockmodel, batch) -> None:
@@ -155,14 +154,14 @@ def apply_edge_delta(bm: Blockmodel, batch) -> None:
 
     ones_rem = np.ones(rem_src.shape[0], dtype=np.int64)
     ones_add = np.ones(add_src.shape[0], dtype=np.int64)
-    _K.index_sub(bm.d_out, rem_src, ones_rem)
-    _K.index_sub(bm.d_in, rem_dst, ones_rem)
-    _K.index_add(bm.d_out, add_src, ones_add)
-    _K.index_add(bm.d_in, add_dst, ones_add)
-    _K.index_sub(bm.d, rem_src, ones_rem)
-    _K.index_sub(bm.d, rem_dst, ones_rem)
-    _K.index_add(bm.d, add_src, ones_add)
-    _K.index_add(bm.d, add_dst, ones_add)
+    np.subtract.at(bm.d_out, rem_src, ones_rem)
+    np.subtract.at(bm.d_in, rem_dst, ones_rem)
+    np.add.at(bm.d_out, add_src, ones_add)
+    np.add.at(bm.d_in, add_dst, ones_add)
+    np.subtract.at(bm.d, rem_src, ones_rem)
+    np.subtract.at(bm.d, rem_dst, ones_rem)
+    np.add.at(bm.d, add_src, ones_add)
+    np.add.at(bm.d, add_dst, ones_add)
 
 
 class _TimedUpdater(SweepUpdater):

@@ -180,3 +180,14 @@ class TestMergeDeltaBatch:
             merge_delta_batch(
                 bm, np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
             )
+
+
+class TestSeqSum:
+    def test_seq_sum_is_bitwise_cumsum_tail(self):
+        from repro.sbm.delta import _seq_sum
+
+        rng = np.random.default_rng(12345)
+        for size in (0, 1, 2, 7, 63, 1024):
+            terms = rng.normal(scale=1e6, size=size) + rng.normal(size=size)
+            expect = 0.0 if size == 0 else float(np.cumsum(terms)[-1])
+            assert _seq_sum(terms) == expect  # bitwise, not approx

@@ -171,3 +171,30 @@ class TestBatchMergeProposals:
         bm = Blockmodel.singleton(graph)
         with pytest.raises(ValueError):
             propose_block_merges_batch(bm, np.zeros((3, 4)))
+
+
+class TestRowCDFDraw:
+    def test_cdf_index_never_lands_on_zero_plateau(self):
+        """The draw-side bit-identity theorem, checked exhaustively.
+
+        Integer draws ``q = floor(u * total)`` range over ``[0, total)``;
+        the ``side="right"`` lookup of :meth:`RowCDF.draw` and
+        :meth:`RowCDF.draw_many` must map every q to a block with a
+        nonzero symmetrized count, zero plateaus notwithstanding, in the
+        dense-identity view and in the compressed (``cols``) view alike.
+        """
+        from repro.sbm.block_storage import RowCDF
+
+        counts = np.asarray([0, 3, 0, 0, 2, 0, 1, 0], dtype=np.int64)
+        cols = np.flatnonzero(counts).astype(np.int64)
+        total = int(counts.sum())
+        uniforms = (np.arange(total) + 0.5) / total  # floor(u * total) == q
+        for view in (RowCDF(None, np.cumsum(counts)),
+                     RowCDF(cols, np.cumsum(counts[cols]))):
+            blocks = [view.draw(float(u), fallback=-1) for u in uniforms]
+            for q, block in enumerate(blocks):
+                assert counts[block] > 0, f"draw {q} landed on zero plateau {block}"
+            np.testing.assert_array_equal(view.draw_many(uniforms), blocks)
+            # Plateau edges explicitly: q = 2 is the last unit of block 1,
+            # q = 3 the first unit of block 4, q = 5 the one unit of block 6.
+            assert (blocks[2], blocks[3], blocks[5]) == (1, 4, 6)
